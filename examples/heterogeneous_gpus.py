@@ -1,14 +1,14 @@
-"""Heterogeneous accelerators: tier fallback (§6) + fleet mixing.
+"""Heterogeneous accelerators: cheaper-GPU fallback (§6) + fleet mixing.
 
-Two extensions beyond the paper's homogeneous experiments:
+Both halves run one mechanism, SpotHedge over capacity-weighted pools
+(hetero_spothedge, docs/HETEROGENEOUS.md):
 
-1. **Tier fallback** — when the spot market for the preferred GPU
-   (A100) dries up, HeterogeneousPolicy launches on a cheaper,
-   lower-end tier (V100) instead of waiting or paying for on-demand,
-   and drifts back once the A100 market recovers.
+1. **Cheaper-GPU fallback** — when the spot market for the preferred GPU
+   (A100) dries up, the fleet covers its goal from V100 spot capacity,
+   counting each V100 as half an A100, instead of paying for on-demand.
 2. **Capacity-weighted fleets** — hetero_spothedge co-optimises zone ×
    instance type over "zone@itype" pools, targeting N_Tar *effective*
-   A10G units at minimum cost per unit (docs/HETEROGENEOUS.md).
+   A10G units at minimum cost per unit.
 
 Run:  python examples/heterogeneous_gpus.py
 """
@@ -16,13 +16,18 @@ Run:  python examples/heterogeneous_gpus.py
 import numpy as np
 
 from repro.cloud import HOUR, SpotTrace
-from repro.core import AcceleratorTier, HeterogeneousPolicy, spothedge
+from repro.core import hetero_spothedge, spothedge
 from repro.experiments import ReplayConfig, TraceReplayer
 
 A100_ZONES = ("gcp:us-central1:us-central1-a", "gcp:us-east1:us-east1-b")
 V100_ZONES = ("aws:us-west-2:us-west-2a", "aws:us-west-2:us-west-2b")
 STEP = 60.0
 N = 12 * 60  # twelve hours
+
+#: Serving capacity in A100 units, and spot cost per A100 unit of
+#: throughput: a V100 serves half as fast, so it is dearer per unit.
+CAPACITY_WEIGHTS = {**dict.fromkeys(A100_ZONES, 1.0), **dict.fromkeys(V100_ZONES, 0.5)}
+UNIT_COSTS = {**dict.fromkeys(A100_ZONES, 1.0), **dict.fromkeys(V100_ZONES, 1.2)}
 
 
 def build_trace() -> SpotTrace:
@@ -40,35 +45,36 @@ def build_trace() -> SpotTrace:
 
 def main() -> None:
     trace = build_trace()
+    # Effective availability: >= n_tar A100 units ready, V100s at 0.5.
+    config = ReplayConfig(n_tar=4, k=3.0, zone_capacity_weights=CAPACITY_WEIGHTS)
 
-    # Plain SpotHedge restricted to the A100 tier: the blackout forces
+    # Plain SpotHedge restricted to the A100 zones: the blackout forces
     # it entirely onto on-demand fallback.
     a100_only = spothedge(list(A100_ZONES), num_overprovision=1)
-    replayer = TraceReplayer(trace, ReplayConfig(n_tar=4, k=3.0))
-    plain = replayer.run(a100_only, spot_zones=trace.zone_ids)
-
-    # The heterogeneous policy: A100 first, V100 when A100 is dry.
-    hetero = HeterogeneousPolicy(
-        [
-            AcceleratorTier("A100", A100_ZONES, performance=1.0),
-            AcceleratorTier("V100", V100_ZONES, performance=0.5),
-        ],
-        num_overprovision=1,
-        tier_retry_interval=600.0,
+    plain = TraceReplayer(trace, config, engine="discrete").run(
+        a100_only, spot_zones=trace.zone_ids
     )
-    replayer = TraceReplayer(trace, ReplayConfig(n_tar=4, k=3.0))
-    mixed = replayer.run(hetero, spot_zones=trace.zone_ids)
 
-    print(f"{'policy':<22} {'availability':>13} {'spot cost':>10} "
+    # The capacity-weighted fleet over A100 and V100 zones: A100 first
+    # (cheapest per unit), enough V100s to cover the goal when A100 is dry.
+    fleet = hetero_spothedge(
+        trace.zone_ids,
+        pool_costs=UNIT_COSTS,
+        pool_weights=CAPACITY_WEIGHTS,
+        num_overprovision=1,
+    )
+    mixed = TraceReplayer(trace, config, engine="discrete").run(fleet)
+
+    print(f"{'policy':<26} {'eff availability':>16} {'spot cost':>10} "
           f"{'od cost':>9}")
-    print("-" * 58)
+    print("-" * 64)
     for label, result in (("SpotHedge (A100 only)", plain),
-                          ("Heterogeneous tiers", mixed)):
-        print(f"{label:<22} {result.availability:>13.1%} "
+                          ("Capacity-weighted fleet", mixed)):
+        print(f"{label:<26} {result.eff_availability:>16.1%} "
               f"{result.spot_cost:>10.1f} {result.od_cost:>9.1f}")
 
-    print("\nDuring the A100 blackout the heterogeneous policy serves from")
-    print("V100 spot capacity instead of expensive on-demand fallback:")
+    print("\nDuring the A100 blackout the weighted fleet serves from V100")
+    print("spot capacity instead of expensive on-demand fallback:")
     print(f"  on-demand spend: {plain.od_cost:.1f} -> {mixed.od_cost:.1f} "
           f"replica-hour units "
           f"({1 - mixed.od_cost / max(plain.od_cost, 1e-9):.0%} less)")

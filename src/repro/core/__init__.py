@@ -1,12 +1,11 @@
 """SpotHedge — the paper's core contribution (§3).
 
 Dynamic Placement (Alg. 1), overprovisioning and Dynamic Fallback
-(§3.2), the Omniscient ILP bound (§3.3), and the heterogeneous-
-accelerator extension (§6).
+(§3.2), the Omniscient ILP bound (§3.3), and capacity-weighted
+heterogeneous fleets (§6).
 """
 
 from repro.core.fleet import FleetMixturePolicy, hetero_spothedge
-from repro.core.heterogeneous import AcceleratorTier, HeterogeneousPolicy
 from repro.core.omniscient import (
     OmniscientResult,
     solve_omniscient,
@@ -28,9 +27,7 @@ from repro.core.spothedge import (
 )
 
 __all__ = [
-    "AcceleratorTier",
     "DynamicSpotPlacer",
-    "HeterogeneousPolicy",
     "EvenSpreadPlacer",
     "FleetMixturePolicy",
     "MixturePolicy",

@@ -4,7 +4,6 @@ autoscaler, simulated inference engines, client, and service facade."""
 from repro.serving.autoscaler import Autoscaler
 from repro.serving.client import ClientStats, RetryPolicy, ServiceClient
 from repro.serving.controller import ServiceController
-from repro.serving.fleet import FleetService, ServiceFleet
 from repro.serving.inference import (
     InferenceServer,
     ModelProfile,
@@ -43,7 +42,6 @@ __all__ = [
     "Autoscaler",
     "ClientStats",
     "DomainFilter",
-    "FleetService",
     "InferenceServer",
     "LeastLoadBalancer",
     "LoadBalancer",
@@ -60,7 +58,6 @@ __all__ = [
     "RoundRobinBalancer",
     "ServiceClient",
     "ServiceController",
-    "ServiceFleet",
     "ServiceReport",
     "ServiceSpec",
     "ServingPolicy",

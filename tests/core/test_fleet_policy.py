@@ -1,9 +1,12 @@
 """Tests for the capacity-weighted fleet policy (zone × type pools)."""
 
+import numpy as np
 import pytest
 
-from repro.core import DynamicSpotPlacer, FleetMixturePolicy, hetero_spothedge
+from repro.cloud import SpotTrace
+from repro.core import DynamicSpotPlacer, FleetMixturePolicy, hetero_spothedge, spothedge
 from repro.core.spothedge import MixturePolicy
+from repro.experiments import ReplayConfig, TraceReplayer
 from repro.serving.policy import Observation
 
 POOLS = ["z1@small", "z2@big"]
@@ -134,3 +137,35 @@ class TestFactory:
         # placer protocol allows to be stateful — the fastpath must not
         # fast-forward this policy.
         assert FleetMixturePolicy.stationary_decisions is False
+
+
+class TestPreferredPoolBlackout:
+    """§6: when the preferred GPU's spot market dries up, the weighted
+    fleet covers the goal from a slower GPU instead of on-demand."""
+
+    A100 = ["gcp:us-central1:us-central1-a", "gcp:us-east1:us-east1-b"]
+    V100 = ["aws:us-west-2:us-west-2a", "aws:us-west-2:us-west-2b"]
+
+    def blackout_trace(self):
+        # Twelve hours at 4 slots per zone; the A100 zones read 0 from
+        # hour 3 to hour 8 while the V100 zones stay up.
+        caps = np.full((4, 12 * 60), 4)
+        caps[:2, 180:480] = 0
+        return SpotTrace("hetero-blackout", self.A100 + self.V100, 60.0, caps)
+
+    def test_weighted_fleet_beats_preferred_only(self):
+        trace = self.blackout_trace()
+        weights = {**dict.fromkeys(self.A100, 1.0), **dict.fromkeys(self.V100, 0.5)}
+        costs = {**dict.fromkeys(self.A100, 1.0), **dict.fromkeys(self.V100, 1.2)}
+        config = ReplayConfig(n_tar=4, k=3.0, zone_capacity_weights=weights)
+        preferred = TraceReplayer(trace, config, engine="discrete").run(
+            spothedge(self.A100, num_overprovision=1), spot_zones=trace.zone_ids
+        )
+        fleet = TraceReplayer(trace, config, engine="discrete").run(
+            hetero_spothedge(
+                trace.zone_ids, pool_costs=costs, pool_weights=weights,
+                num_overprovision=1,
+            )
+        )
+        assert fleet.eff_availability >= preferred.eff_availability
+        assert fleet.od_cost < preferred.od_cost

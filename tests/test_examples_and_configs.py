@@ -72,7 +72,10 @@ class TestExampleScripts:
 
     def test_heterogeneous_gpus(self, capsys):
         out = self._run("heterogeneous_gpus.py", capsys)
-        assert "Heterogeneous tiers" in out
+        assert "Capacity-weighted fleet" in out
+        line = next(ln for ln in out.splitlines() if "on-demand spend:" in ln)
+        before, after = line.split(":")[1].split("replica-hour")[0].split("->")
+        assert float(after) < float(before)
 
     def test_custom_policy(self, capsys):
         out = self._run("custom_policy.py", capsys)
