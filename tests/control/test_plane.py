@@ -2,12 +2,11 @@
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.cloud import HOUR, SpotTrace, aws1
+from repro.cloud import HOUR, aws1
 from repro.control import ControlPlane, DeploymentSpec, FleetReport, TenantSpec
-from repro.serving import DomainFilter, ReplicaPolicyConfig, ResourceSpec, ServiceSpec
+from repro.serving import ReplicaPolicyConfig, ServiceSpec
 
 
 def tenant(name, target=2, **kwargs):
@@ -95,42 +94,6 @@ class TestControlPlane:
             tenant("a", policy="Mystery")
         with pytest.raises(ValueError):
             tenant("a", profile="mystery-model")
-
-
-class TestCapacityContention:
-    @pytest.mark.parametrize("admission", ["fair_share", "strict_priority"])
-    def test_tenants_compete_for_scarce_capacity(self, admission):
-        """Capacity 3 per zone, two tenants each wanting 4 replicas: the
-        shared spot market caps both, and on-demand covers the rest."""
-        zones = ["aws:us-west-2:us-west-2a", "aws:us-west-2:us-west-2b"]
-        trace = SpotTrace("contended", zones, 60.0, np.full((2, 120), 3))
-        service = {
-            "replica_policy": ReplicaPolicyConfig(fixed_target=4, num_overprovision=0),
-            "resources": ResourceSpec(
-                any_of=(DomainFilter(cloud="aws", region="us-west-2"),)
-            ),
-        }
-        dep = DeploymentSpec(
-            name="contended",
-            tenants=(
-                TenantSpec(ServiceSpec(name="first", **service), priority=1,
-                           workload="poisson", rate=0.2),
-                TenantSpec(ServiceSpec(name="second", **service),
-                           workload="poisson", rate=0.2),
-            ),
-            admission=admission,
-            hours=2.0,
-        )
-        plane = ControlPlane(dep, trace, seed=4)
-        fleet = plane.run()
-        observed = [c.observe() for c in plane.controllers.values()]
-        spot_ready = sum(o.spot_ready for o in observed)
-        # Six spot slots in total for eight wanted replicas.
-        assert spot_ready <= 6
-        assert spot_ready + sum(o.od_ready for o in observed) >= 7
-        # The fallback keeps contention from failing either tenant.
-        for report in fleet.tenants:
-            assert report.failure_rate < 0.1, report.tenant
 
 
 class TestFleetReportShape:

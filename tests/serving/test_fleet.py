@@ -1,145 +1,88 @@
-"""Tests for multi-service fleets sharing one cloud."""
+"""Tests for multi-service fleets sharing one cloud (repro.control.ControlPlane)."""
 
 import numpy as np
 import pytest
 
-from repro.cloud import SpotTrace
-from repro.core import spothedge
-from repro.serving import (
-    DomainFilter,
-    ModelProfile,
-    ReplicaPolicyConfig,
-    ResourceSpec,
-    ServiceSpec,
-)
-from repro.serving.fleet import ServiceFleet
-from repro.workloads import Request, Workload
+from repro.cloud import HOUR, SpotTrace
+from repro.control import ControlPlane, DeploymentSpec, TenantSpec
+from repro.serving import DomainFilter, ReplicaPolicyConfig, ResourceSpec, ServiceSpec
 
 ZONES = ["aws:us-west-2:us-west-2a", "aws:us-west-2:us-west-2b"]
-HOUR = 3600.0
 
 
-def make_spec(name, target=2, overprovision=0):
-    return ServiceSpec(
+def make_tenant(name, target=2, **kwargs):
+    kwargs.setdefault("workload", "poisson")
+    kwargs.setdefault("rate", 0.2)
+    service = ServiceSpec(
         name=name,
-        replica_policy=ReplicaPolicyConfig(
-            fixed_target=target, num_overprovision=overprovision
-        ),
-        resources=ResourceSpec(
-            accelerator="V100",
-            any_of=(DomainFilter(cloud="aws", region="us-west-2"),),
-        ),
-        request_timeout=60.0,
+        replica_policy=ReplicaPolicyConfig(fixed_target=target, num_overprovision=0),
+        resources=ResourceSpec(any_of=(DomainFilter(cloud="aws", region="us-west-2"),)),
     )
+    return TenantSpec(service, **kwargs)
 
 
-def make_workload(name, n=30, start=400.0):
-    return Workload(name, [Request(i, start + 10.0 * i, 10, 10) for i in range(n)])
-
-
-def profile():
-    return ModelProfile("m", overhead=2.0, prefill_per_token=0.0,
-                        decode_per_token=0.0, max_concurrency=8)
-
-
-def flat_trace(cap, hours=2):
-    return SpotTrace("fleet", ZONES, 60.0, np.full((2, int(hours * 60)), cap))
+def make_fleet(tenants, cap, seed, hours=2, admission="fair_share"):
+    trace = SpotTrace("fleet", ZONES, 60.0, np.full((2, int(hours * 60)), cap))
+    dep = DeploymentSpec(
+        name="fleet", tenants=tuple(tenants), admission=admission, hours=hours
+    )
+    return ControlPlane(dep, trace, seed=seed)
 
 
 class TestFleetBasics:
     def test_two_services_serve_independently(self):
-        fleet = ServiceFleet(flat_trace(cap=8), seed=1)
-        for name in ("chat", "rag"):
-            fleet.deploy(
-                make_spec(name),
-                spothedge(ZONES, num_overprovision=0),
-                profile=profile(),
-                workload=make_workload(name),
-            )
-        reports = fleet.run(2 * HOUR)
-        assert set(reports) == {"chat", "rag"}
-        for report in reports.values():
+        plane = make_fleet([make_tenant("chat"), make_tenant("rag")], cap=8, seed=1)
+        fleet = plane.run()
+        assert {r.tenant for r in fleet.tenants} == {"chat", "rag"}
+        for report in fleet.tenants:
+            assert report.total_requests > 0
             assert report.failure_rate < 0.05
             assert report.availability > 0.9
 
     def test_shared_bill_covers_both_services(self):
-        fleet = ServiceFleet(flat_trace(cap=8), seed=2)
-        for name in ("a", "b"):
-            fleet.deploy(
-                make_spec(name),
-                spothedge(ZONES, num_overprovision=0),
-                profile=profile(),
-                workload=make_workload(name),
-            )
-        fleet.run(HOUR)
-        # Four spot replicas (2 per service) for ~an hour.
-        assert fleet.total_cost() > 0
-        instances = fleet.cloud.billing.instances
+        plane = make_fleet([make_tenant("a"), make_tenant("b")], cap=8, seed=2)
+        fleet = plane.run(HOUR)
+        assert fleet.fleet_total_cost > 0
+        for report in fleet.tenants:
+            assert report.spot_cost > 0
+        # Four spot replicas (2 per service) on the one shared bill.
+        instances = plane.cloud.billing.instances
         assert len([i for i in instances if i.spot]) >= 4
 
     def test_status_lists_every_service(self):
-        fleet = ServiceFleet(flat_trace(cap=8), seed=3)
-        fleet.deploy(make_spec("solo"), spothedge(ZONES), profile=profile(),
-                     workload=make_workload("solo"))
-        fleet.run(HOUR)
-        status = fleet.status()
+        plane = make_fleet([make_tenant("solo")], cap=8, seed=3)
+        plane.run(HOUR)
+        status = plane.status()
         assert "solo" in status
         assert status["solo"]
 
     def test_duplicate_names_rejected(self):
-        fleet = ServiceFleet(flat_trace(cap=8))
-        fleet.deploy(make_spec("x"), spothedge(ZONES), profile=profile())
         with pytest.raises(ValueError):
-            fleet.deploy(make_spec("x"), spothedge(ZONES), profile=profile())
-
-    def test_deploy_after_run_rejected(self):
-        fleet = ServiceFleet(flat_trace(cap=8))
-        fleet.deploy(make_spec("x"), spothedge(ZONES), profile=profile(),
-                     workload=make_workload("x"))
-        fleet.run(HOUR)
-        with pytest.raises(RuntimeError):
-            fleet.deploy(make_spec("y"), spothedge(ZONES), profile=profile())
+            make_fleet([make_tenant("x"), make_tenant("x")], cap=8, seed=0)
 
     def test_empty_fleet_rejected(self):
-        with pytest.raises(RuntimeError):
-            ServiceFleet(flat_trace(cap=8)).run(HOUR)
+        with pytest.raises(ValueError):
+            make_fleet([], cap=8, seed=0)
 
 
 class TestCapacityContention:
     def test_services_compete_for_scarce_capacity(self):
         """Total capacity 3/zone; two services each wanting 4 replicas
         cannot both be satisfied — the shared market is the constraint."""
-        fleet = ServiceFleet(flat_trace(cap=3), seed=4)
-        for name in ("first", "second"):
-            fleet.deploy(
-                make_spec(name, target=4),
-                spothedge(ZONES, num_overprovision=0),
-                profile=profile(),
-                workload=make_workload(name),
-            )
-        fleet.run(2 * HOUR)
-        ready_totals = {
-            name: s.controller.observe().spot_ready
-            for name, s in fleet.services.items()
-        }
-        # 6 spot slots total; 8 wanted: the sum is capacity-bound.
-        assert sum(ready_totals.values()) <= 6
-        # On-demand fallback covers the shortfall for both services.
-        od_ready = {
-            name: s.controller.observe().od_ready
-            for name, s in fleet.services.items()
-        }
-        assert sum(ready_totals.values()) + sum(od_ready.values()) >= 7
+        tenants = [make_tenant("first", target=4, priority=1),
+                   make_tenant("second", target=4)]
+        for admission in ("fair_share", "strict_priority"):
+            plane = make_fleet(tenants, cap=3, seed=4, admission=admission)
+            plane.run()
+            observed = [c.observe() for c in plane.controllers.values()]
+            spot_ready = sum(o.spot_ready for o in observed)
+            # 6 spot slots total; 8 wanted: the sum is capacity-bound.
+            assert spot_ready <= 6, admission
+            # On-demand fallback covers the shortfall for both services.
+            assert spot_ready + sum(o.od_ready for o in observed) >= 7, admission
 
     def test_contention_harms_no_one_with_fallback(self):
-        fleet = ServiceFleet(flat_trace(cap=2), seed=5)
-        for name in ("a", "b"):
-            fleet.deploy(
-                make_spec(name, target=3),
-                spothedge(ZONES, num_overprovision=0),
-                profile=profile(),
-                workload=make_workload(name),
-            )
-        reports = fleet.run(2 * HOUR)
-        for name, report in reports.items():
-            assert report.failure_rate < 0.1, name
+        tenants = [make_tenant("a", target=3), make_tenant("b", target=3)]
+        fleet = make_fleet(tenants, cap=2, seed=5).run()
+        for report in fleet.tenants:
+            assert report.failure_rate < 0.1, report.tenant
