@@ -24,13 +24,14 @@ Subcommands:
     Preemption-correlation and search-space analysis of a trace
     (Figs. 3 and 5).
 ``repro events``
-    Summarise a JSONL telemetry log written by ``repro serve --events``:
-    replica timeline, preemption counts, per-leg latency percentiles,
-    policy decision counts, and chaos injections.
+    List a JSONL telemetry log written by ``repro serve --events`` one
+    event per line, optionally filtered to one kind or kind family
+    (``--kind replica`` is the whole replica lifecycle).
 ``repro report``
     Aggregate an event log (or a seeded in-memory replay) into a run
-    report: terminal dashboard with fleet/cost/SLO timelines and hot
-    profiler phases, plus a canonical byte-stable JSON artifact.
+    report: terminal dashboard with fleet/cost/SLO timelines, latency
+    and per-leg percentiles, per-label counters and hot profiler
+    phases, plus a canonical byte-stable JSON artifact.
 ``repro hetero``
     Heterogeneous GPU fleet experiments (``repro.experiments.hetero``):
     ``repro hetero frontier`` replays the homogeneous single-type
@@ -93,9 +94,9 @@ from repro.serving import (
 from repro.telemetry import (
     EventBus,
     JsonlSink,
-    PrometheusSnapshot,
+    MetricsSink,
+    TelemetryEvent,
     configure_logging,
-    format_summary,
     read_events,
 )
 from repro.workloads import arena_workload, maf_workload, poisson_workload
@@ -187,7 +188,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     policy = spothedge(trace.zone_ids, num_overprovision=args.overprovision)
     telemetry = None
     jsonl_sink = None
-    prom_sink = None
+    metrics_sink = None
     if args.events or args.metrics_out:
         telemetry = EventBus()
         if args.events:
@@ -197,8 +198,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 raise SystemExit(f"cannot write event log {args.events}: {exc}")
             telemetry.attach(jsonl_sink)
         if args.metrics_out:
-            prom_sink = PrometheusSnapshot()
-            telemetry.attach(prom_sink)
+            metrics_sink = MetricsSink()
+            telemetry.attach(metrics_sink)
     profile = _PROFILES[args.profile]()
     if args.batch_slope:
         profile = dataclasses.replace(profile, decode_batch_slope=args.batch_slope)
@@ -233,9 +234,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if jsonl_sink is not None:
         print(f"\nwrote {jsonl_sink.count} events to {args.events} "
-              f"(summarise with: repro events {args.events})")
-    if prom_sink is not None:
-        Path(args.metrics_out).write_text(prom_sink.render())
+              f"(summarise with: repro report {args.events})")
+    if metrics_sink is not None:
+        Path(args.metrics_out).write_text(metrics_sink.registry.render_prometheus())
         print(f"wrote Prometheus metrics snapshot to {args.metrics_out}")
     return 0
 
@@ -290,7 +291,7 @@ def _cmd_serve_up(args: argparse.Namespace) -> int:
     )
     if jsonl_sink is not None:
         print(f"\nwrote {jsonl_sink.count} events to {args.events} "
-              f"(summarise with: repro events {args.events})")
+              f"(summarise with: repro report {args.events})")
     if args.report:
         Path(args.report).write_text(fleet.to_json())
         print(f"wrote fleet cost/SLO report to {args.report}")
@@ -650,28 +651,32 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_events(args: argparse.Namespace) -> int:
-    path = Path(args.log)
+def _read_event_log(log: str) -> list[TelemetryEvent]:
+    path = Path(log)
     if not path.exists():
-        raise SystemExit(f"no such event log: {args.log}")
+        raise SystemExit(f"no such event log: {log}")
     try:
-        events = read_events(path)
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"malformed event log {args.log}: {exc}")
+        return read_events(path)
+    except ValueError as exc:
+        raise SystemExit(f"malformed event log {log}: {exc}")
+
+
+def _cmd_events(args: argparse.Namespace) -> int:
+    events = _read_event_log(args.log)
     if args.kind:
-        events = [e for e in events if e.kind == args.kind]
+        family = args.kind + "."
+        events = [
+            e for e in events if e.kind == args.kind or e.kind.startswith(family)
+        ]
         if not events:
             print(f"no {args.kind!r} events in {args.log}")
             return 0
-    if args.timeline:
-        for event in events:
-            data = event.to_dict()
-            kind = data.pop("kind")
-            time = data.pop("time")
-            fields = " ".join(f"{k}={v}" for k, v in data.items())
-            print(f"t={time:10.1f}  {kind:<24} {fields}")
-        return 0
-    print(format_summary(events, replica_limit=args.replica_limit))
+    for event in events:
+        data = event.to_dict()
+        kind = data.pop("kind")
+        time = data.pop("time")
+        fields = " ".join(f"{k}={v}" for k, v in data.items())
+        print(f"t={time:10.1f}  {kind:<24} {fields}")
     return 0
 
 
@@ -679,14 +684,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.telemetry import RingBufferSink, build_report, render_dashboard
 
     if args.log:
-        path = Path(args.log)
-        if not path.exists():
-            raise SystemExit(f"no such event log: {args.log}")
-        try:
-            events = read_events(path)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"malformed event log {args.log}: {exc}")
-        label = path.name
+        events = _read_event_log(args.log)
+        label = Path(args.log).name
     elif args.replay:
         # Seeded in-memory replay: deterministic, so the artifact is
         # byte-identical across invocations of the same command line.
@@ -990,13 +989,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--threshold", type=int, default=1)
     analyze.set_defaults(func=_cmd_analyze)
 
-    events = sub.add_parser("events", help="summarise a JSONL telemetry log")
+    events = sub.add_parser(
+        "events", help="list a JSONL telemetry log, one event per line"
+    )
     events.add_argument("log", help="JSONL file written by serve --events")
-    events.add_argument("--kind", help="only consider events of this kind")
-    events.add_argument("--timeline", action="store_true",
-                        help="print every event in order instead of a summary")
-    events.add_argument("--replica-limit", type=int, default=40,
-                        help="max rows in the replica timeline table")
+    events.add_argument(
+        "--kind",
+        help="only list this kind, or this family: 'replica' matches "
+        "replica.launch, replica.ready, ...",
+    )
     events.set_defaults(func=_cmd_events)
 
     report = sub.add_parser(

@@ -6,11 +6,12 @@ The observability layer of the reproduction (see
 ``repro.telemetry.events``
     Typed, timestamped events plus the :class:`EventBus` they flow over.
 ``repro.telemetry.sinks``
-    Ring buffer, JSONL file, and Prometheus-text-format sinks.
+    Ring buffer and JSONL file sinks, and the JSONL log readers.
 ``repro.telemetry.metrics``
     Typed time-series registry: counters, gauges, and fixed-bucket
     histograms with deterministic percentile estimation, fed from the
-    event bus by :class:`MetricsSink`.
+    event bus by :class:`MetricsSink` — the one reducer every event-log
+    view (report, dashboard, Prometheus text) reads.
 ``repro.telemetry.slo``
     SLO error budgets and multi-window burn-rate monitors emitting
     :class:`SloBurnAlert` events.
@@ -25,8 +26,6 @@ The observability layer of the reproduction (see
     exactly to the client-recorded end-to-end latency.
 ``repro.telemetry.audit``
     The policy decision audit log: every Alg. 1 step with its inputs.
-``repro.telemetry.render``
-    Timeline/summary rendering for the ``repro events`` CLI subcommand.
 ``repro.telemetry.logsetup``
     Stdlib logging configuration under the single ``repro`` root logger.
 ``repro.telemetry.clock``
@@ -83,11 +82,9 @@ from repro.telemetry.metrics import (
     registry_from_events,
 )
 from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler, PhaseStats
-from repro.telemetry.render import EventLogSummary, format_summary, summarize
 from repro.telemetry.report import RunReport, build_report, render_dashboard
 from repro.telemetry.sinks import (
     JsonlSink,
-    PrometheusSnapshot,
     RingBufferSink,
     iter_events,
     read_events,
@@ -114,7 +111,6 @@ __all__ = [
     "CostSnapshot",
     "CounterFamily",
     "EventBus",
-    "EventLogSummary",
     "EventsDropped",
     "FleetSample",
     "GaugeFamily",
@@ -132,7 +128,6 @@ __all__ = [
     "PreemptWarning",
     "ProbeFailure",
     "ProfilePhase",
-    "PrometheusSnapshot",
     "ReplicaLaunch",
     "ReplicaLaunchFailed",
     "ReplicaPreempted",
@@ -156,13 +151,11 @@ __all__ = [
     "default_budgets",
     "event_from_dict",
     "event_kinds",
-    "format_summary",
     "iter_events",
     "read_events",
     "registry_from_events",
     "render_dashboard",
     "root_logger",
-    "summarize",
     "wall_monotonic",
     "wall_time",
 ]

@@ -467,7 +467,7 @@ class EventsDropped(TelemetryEvent):
     """A bounded sink dropped events (ring buffer overflow).
 
     Emitted by code that drains a :class:`~repro.telemetry.sinks.
-    RingBufferSink` so the loss is visible in ``repro events`` output
+    RingBufferSink` so the loss is visible in ``repro report`` output
     instead of silent; ``dropped_total`` is cumulative.
     """
 
@@ -540,14 +540,29 @@ class GenericEvent(TelemetryEvent):
 
 def event_from_dict(payload: dict[str, Any]) -> TelemetryEvent:
     """Reconstruct a typed event from its :meth:`TelemetryEvent.to_dict`
-    form; unknown kinds come back as :class:`GenericEvent`."""
+    form; unknown kinds come back as :class:`GenericEvent`.  Raises
+    :class:`ValueError` for a non-object payload or a missing field."""
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"expected a JSON object, got {type(payload).__name__}: {payload!r}"
+        )
     data = dict(payload)
     kind = data.pop("kind", "generic")
     cls = _REGISTRY.get(kind)
     if cls is None:
         time = float(data.pop("time", math.nan))
         return GenericEvent(time=time, name=kind, data=data)
-    known = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValueError(f"{kind!r} event missing field(s): {', '.join(missing)}")
+    known = {f.name for f in fields}
     return cls(**{k: v for k, v in data.items() if k in known})
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from repro.telemetry.events import TelemetryEvent
 
@@ -493,7 +493,7 @@ class MetricsSink:
         )
         self._legs = reg.histogram(
             "request_leg_seconds",
-            "Per-leg latency breakdown (queue/prefill/decode/wan).",
+            "Per-leg latency of completed requests (queue/prefill/decode/wan).",
             ("leg",),
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
@@ -533,6 +533,12 @@ class MetricsSink:
             "tenant_cost_dollars", "Accrued cost by tenant and market.",
             ("tenant", "market"),
         )
+        self._policy_decisions = reg.counter(
+            "policy_decisions_total", "Audited policy decisions.", ("decision",)
+        )
+        self._chaos_injections = reg.counter(
+            "chaos_injections_total", "Chaos faults fired.", ("injection",)
+        )
         self._dispatch = {
             "replica.preempted": self._on_preempted,
             "replica.launch": self._on_launch,
@@ -551,6 +557,8 @@ class MetricsSink:
             "tenant.admission": self._on_tenant_admission,
             "tenant.eviction": self._on_tenant_eviction,
             "tenant.cost": self._on_tenant_cost,
+            "policy.decision": self._on_policy_decision,
+            "chaos.injected": self._on_chaos_injected,
         }
 
     # -- sink protocol --------------------------------------------------
@@ -563,8 +571,8 @@ class MetricsSink:
     # -- per-kind handlers ----------------------------------------------
     def _on_preempted(self, event: Any) -> None:
         self._preemptions.labels(event.zone).inc()
-        if event.warned:
-            self._warned.labels(event.zone).inc()
+        # Always touch the warned child so an unwarned zone reports 0.
+        self._warned.labels(event.zone).inc(1.0 if event.warned else 0.0)
 
     def _on_launch(self, event: Any) -> None:
         self._launches.labels(event.zone).inc()
@@ -574,12 +582,14 @@ class MetricsSink:
 
     def _on_span(self, event: Any) -> None:
         self._latency.labels(event.status).observe(event.total)
-        legs = self._legs
-        legs.labels("queue").observe(event.queue)
-        legs.labels("prefill").observe(event.prefill)
-        legs.labels("decode").observe(event.decode)
-        legs.labels("wan").observe(event.wan)
+        # A failed span's legs are clamped placeholders (the whole wait
+        # lands in ``queue``), so only completed requests feed the legs.
         if event.status == "ok":
+            legs = self._legs
+            legs.labels("queue").observe(event.queue)
+            legs.labels("prefill").observe(event.prefill)
+            legs.labels("decode").observe(event.decode)
+            legs.labels("wan").observe(event.wan)
             self._ttft.labels().observe(event.queue + event.prefill + event.wan)
 
     def _on_shed(self, event: Any) -> None:
@@ -631,6 +641,12 @@ class MetricsSink:
         cost.labels(event.tenant, "on_demand").set(event.time, event.on_demand)
         cost.labels(event.tenant, "total").set(event.time, event.total)
 
+    def _on_policy_decision(self, event: Any) -> None:
+        self._policy_decisions.labels(event.decision).inc()
+
+    def _on_chaos_injected(self, event: Any) -> None:
+        self._chaos_injections.labels(event.injection).inc()
+
 
 def registry_from_events(
     events: Iterable[TelemetryEvent],
@@ -641,7 +657,3 @@ def registry_from_events(
     for event in events:
         sink.accept(event)
     return sink.registry
-
-
-def _labels_dict(keys: Sequence[str], values: Sequence[str]) -> Mapping[str, str]:
-    return dict(zip(keys, values))

@@ -18,8 +18,11 @@ run recorded any.  Two properties fall out of that design:
   log the serving stack or the replayer wrote.
 
 ``render_dashboard`` draws the terminal view: fleet/cost/SLO timelines
-as unicode sparklines, latency percentiles, counter tables, burn
-alerts, and the top-k hot phases.
+as unicode sparklines, latency and per-leg percentiles, the final cost
+split, counter tables (one row per label set), burn alerts, and the
+top-k hot phases.  Every number comes from the
+:class:`~repro.telemetry.metrics.MetricsSink` registry or the SLO
+monitors; this module aggregates no event kind of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.metrics import MetricRegistry, MetricsSink
+from repro.telemetry.metrics import CounterFamily, MetricRegistry, MetricsSink
 from repro.telemetry.slo import SloBudget, SloMonitorSink
 
 __all__ = [
@@ -130,17 +133,16 @@ class RunReport:
         slo: SloMonitorSink,
         event_count: int,
         time_range: tuple[float, float],
-        dropped_total: int = 0,
         label: str = "",
+        profile_phases: Optional[dict[str, tuple[int, float, float, bool]]] = None,
     ) -> None:
         self.registry = registry
         self.slo = slo
         self.event_count = event_count
         self.time_range = time_range
-        self.dropped_total = dropped_total
         self.label = label
         #: phase -> (calls, total_s, max_s, sampled); see profile_section.
-        self._profile_phases: dict[str, tuple[int, float, float, bool]] = {}
+        self._profile_phases = profile_phases or {}
 
     # -- section builders ----------------------------------------------
     def _gauge_series(self, name: str, *labels: str) -> list[tuple[float, float]]:
@@ -152,14 +154,15 @@ class RunReport:
             return []
         return child.series()
 
-    def _counter_totals(self, name: str) -> dict[str, float]:
-        family = self.registry.get(name)
-        if family is None:
-            return {}
-        return {
-            ",".join(values) if values else "": child.value
-            for values, child in sorted(family.children().items())
-        }
+    @property
+    def dropped_total(self) -> int:
+        """Events the producing sink dropped (the last
+        ``telemetry.dropped`` marker's cumulative count)."""
+        family = self.registry.get("telemetry_dropped_events")
+        child = family.children().get(()) if family is not None else None
+        if child is None or math.isnan(child.last):
+            return 0
+        return int(child.last)
 
     def fleet_timeline(self) -> list[float]:
         return downsample_series(self._gauge_series("fleet_ready_replicas"))
@@ -174,6 +177,7 @@ class RunReport:
         out: dict[str, Any] = {}
         for metric_name, key in (
             ("request_latency_seconds", "latency"),
+            ("request_leg_seconds", "leg"),
             ("request_ttft_seconds", "ttft"),
         ):
             family = self.registry.get(metric_name)
@@ -192,6 +196,29 @@ class RunReport:
                     "max": _round(child.max),
                 }
         return out
+
+    def cost_section(self) -> dict[str, float]:
+        """Final accrued cost by market (``spot``/``on_demand``/``total``);
+        empty when the log carries no ``cost.snapshot``."""
+        family = self.registry.get("cost_accrued_dollars")
+        if family is None:
+            return {}
+        return {
+            values[0]: _round(child.last)
+            for values, child in sorted(family.children().items())
+            if not math.isnan(child.last)
+        }
+
+    def counters_section(self) -> dict[str, dict[str, float]]:
+        """Every counter family: comma-joined label values -> value."""
+        return {
+            family.name: {
+                ",".join(values): _round(child.value)
+                for values, child in sorted(family.children().items())
+            }
+            for family in self.registry.families()
+            if isinstance(family, CounterFamily) and len(family)
+        }
 
     def tenants_section(self) -> dict[str, Any]:
         """Per-tenant roll-up of the control-plane event kinds.
@@ -240,22 +267,6 @@ class RunReport:
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-native artifact (see module docstring)."""
         t0, t1 = self.time_range
-        counters = {}
-        for name in (
-            "events_total",
-            "lb_fallbacks_total",
-            "replica_launch_failures_total",
-            "replica_launches_total",
-            "replica_preemptions_total",
-            "requests_routed_total",
-            "requests_shed_total",
-            "slo_burn_alerts_total",
-            "tenant_admissions_total",
-            "tenant_evictions_total",
-        ):
-            totals = self._counter_totals(name)
-            if totals:
-                counters[name] = {k: _round(v) for k, v in totals.items()}
         return {
             "schema": REPORT_SCHEMA,
             "label": self.label,
@@ -265,7 +276,8 @@ class RunReport:
                 "time_start": _round(t0) if math.isfinite(t0) else None,
                 "time_end": _round(t1) if math.isfinite(t1) else None,
             },
-            "counters": counters,
+            "counters": self.counters_section(),
+            "cost": self.cost_section(),
             "timelines": {
                 "width": TIMELINE_WIDTH,
                 "fleet_ready": [_round(v, 4) for v in self.fleet_timeline()],
@@ -314,16 +326,13 @@ def build_report(
     count = 0
     t0 = math.inf
     t1 = -math.inf
-    dropped = 0
     profile: dict[str, tuple[int, float, float, bool]] = {}
     for event in events:
         count += 1
         metrics.accept(event)
         slo.accept(event)
         kind = event.kind
-        if kind == "telemetry.dropped":
-            dropped = max(dropped, event.dropped_total)
-        elif kind == "profile.phase":
+        if kind == "profile.phase":
             prev = profile.get(event.phase)
             if prev is None:
                 profile[event.phase] = (
@@ -344,16 +353,14 @@ def build_report(
                 t0 = event.time
             if event.time > t1:
                 t1 = event.time
-    report = RunReport(
+    return RunReport(
         registry=metrics.registry,
         slo=slo,
         event_count=count,
         time_range=(t0, t1),
-        dropped_total=dropped,
         label=label,
+        profile_phases=profile,
     )
-    report._profile_phases = profile
-    return report
 
 
 # -- terminal rendering -----------------------------------------------
@@ -376,7 +383,7 @@ def render_dashboard(report: RunReport, *, top_k: int = 8) -> str:
     t0 = ev["time_start"]
     t1 = ev["time_end"]
     span = (
-        _fmt_duration(t1 - t0)
+        f"{_fmt_duration(t1 - t0)} (t={t0:.0f}s..{t1:.0f}s)"
         if t0 is not None and t1 is not None and t1 > t0
         else "n/a"
     )
@@ -384,6 +391,11 @@ def render_dashboard(report: RunReport, *, top_k: int = 8) -> str:
     lines.append(
         f"  events: {ev['count']}  dropped: {ev['dropped_total']}  span: {span}"
     )
+    if ev["dropped_total"]:
+        lines.append(
+            f"  WARNING: the producing sink dropped {ev['dropped_total']} events "
+            "(ring buffer overflow) -- counts below undercount the run"
+        )
     lines.append("")
 
     timelines = data["timelines"]
@@ -433,6 +445,15 @@ def render_dashboard(report: RunReport, *, top_k: int = 8) -> str:
             )
         lines.append("")
 
+    cost = data["cost"]
+    if cost:
+        lines.append(
+            f"  cost: ${cost.get('total', 0.0):.2f} "
+            f"(spot ${cost.get('spot', 0.0):.2f} / "
+            f"on-demand ${cost.get('on_demand', 0.0):.2f})"
+        )
+        lines.append("")
+
     slo = data["slo"]
     if slo:
         lines.append("  slo budget      target   burn(fast)  burn(slow)  state")
@@ -462,17 +483,16 @@ def render_dashboard(report: RunReport, *, top_k: int = 8) -> str:
         lines.append("")
 
     counters = data["counters"]
-    counter_lines = []
-    for name in sorted(counters):
-        if name == "events_total":
-            continue
-        total = sum(counters[name].values())
-        if total == 0:
-            continue
-        counter_lines.append(f"    {name:<34}{total:>12g}")
-    if counter_lines:
+    if counters:
+        # The family total, then one row per label set (zone, decision,
+        # event kind, ...).
         lines.append("  counters:")
-        lines.extend(counter_lines)
+        for name in sorted(counters):
+            values = counters[name]
+            lines.append(f"    {name:<40}{sum(values.values()):>12.0f}")
+            for labels, value in values.items():
+                if labels:
+                    lines.append(f"      {labels:<38}{value:>12.0f}")
         lines.append("")
 
     profile = data["profile"]

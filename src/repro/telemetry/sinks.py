@@ -1,29 +1,28 @@
-"""Event sinks: in-memory ring buffer, JSONL file, Prometheus snapshot.
+"""Event sinks: in-memory ring buffer and JSONL file.
 
 A sink is anything with ``accept(event)`` (and optionally ``close()``).
-Three are provided:
+Two are provided here:
 
 * :class:`RingBufferSink` — bounded in-memory buffer, the default for
   tests and interactive use;
 * :class:`JsonlSink` — one JSON object per line, the durable format the
-  ``repro events`` CLI subcommand reads back;
-* :class:`PrometheusSnapshot` — aggregates event counts (and optional
-  registered gauges) into the Prometheus text exposition format, for
-  scraping-style integrations without running a server.
+  ``repro events`` and ``repro report`` CLI subcommands read back.
+
+Aggregation (counters, histograms, the Prometheus text exposition) is
+:class:`repro.telemetry.metrics.MetricsSink`'s job.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter as _Counter, deque
+from collections import deque
 from pathlib import Path
-from typing import Callable, Iterator, Optional, TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 from repro.telemetry.events import EventsDropped, TelemetryEvent, event_from_dict
 
 __all__ = [
     "JsonlSink",
-    "PrometheusSnapshot",
     "RingBufferSink",
     "iter_events",
     "read_events",
@@ -34,7 +33,7 @@ class RingBufferSink:
     """Keeps the last ``capacity`` events in memory (all, when ``None``).
 
     Bounded buffers overwrite oldest-first; every overwrite increments
-    ``dropped_total`` so the loss is observable (``repro events`` prints
+    ``dropped_total`` so the loss is observable (``repro report`` prints
     it, and :meth:`drop_event` packages it as a
     :class:`~repro.telemetry.events.EventsDropped` event for logs).
     """
@@ -115,13 +114,21 @@ class JsonlSink:
 
 
 def iter_events(path: Union[str, Path]) -> Iterator[TelemetryEvent]:
-    """Stream typed events back from a JSONL log."""
+    """Stream typed events back from a JSONL log.
+
+    A line that is not valid JSON, not a JSON object, or misses a field
+    its event kind requires raises :class:`ValueError` naming the line.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            yield event_from_dict(json.loads(line))
+            try:
+                event = event_from_dict(json.loads(line))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            yield event
 
 
 def read_events(path: Union[str, Path]) -> list[TelemetryEvent]:
@@ -139,62 +146,3 @@ def _escape_help(text: str) -> str:
     """Escape HELP text per the exposition format (backslash and
     line-feed only — quotes are legal in HELP)."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-class PrometheusSnapshot:
-    """Aggregates events into Prometheus text-format metrics.
-
-    Event counts become ``repro_events_total{kind=...,zone=...}``
-    counters (``zone=""`` for events without a zone).  Callers may also
-    register gauges — callables sampled at :meth:`render` time — for
-    state that is not event-shaped, e.g. accrued cost from the billing
-    meter.
-    """
-
-    def __init__(self) -> None:
-        self._counts: _Counter[tuple[str, str]] = _Counter()
-        self._gauges: list[tuple[str, dict[str, str], Callable[[], float], str]] = []
-        self.last_event_time = float("nan")
-
-    def accept(self, event: TelemetryEvent) -> None:
-        zone = getattr(event, "zone", "")
-        self._counts[(event.kind, zone)] += 1
-        self.last_event_time = event.time
-
-    def register_gauge(
-        self,
-        name: str,
-        sample: Callable[[], float],
-        *,
-        labels: Optional[dict[str, str]] = None,
-        help_text: str = "",
-    ) -> None:
-        """Register a gauge sampled lazily when the snapshot renders."""
-        self._gauges.append((name, dict(labels or {}), sample, help_text))
-
-    def counts(self) -> dict[tuple[str, str], int]:
-        return dict(self._counts)
-
-    def render(self) -> str:
-        """The Prometheus text exposition of everything collected."""
-        lines = [
-            "# HELP repro_events_total Telemetry events observed, by kind and zone.",
-            "# TYPE repro_events_total counter",
-        ]
-        for (kind, zone), count in sorted(self._counts.items()):
-            labels = f'kind="{_escape_label(kind)}",zone="{_escape_label(zone)}"'
-            lines.append(f"repro_events_total{{{labels}}} {count}")
-        seen_gauges: set[str] = set()
-        for name, labels, sample, help_text in self._gauges:
-            if name not in seen_gauges:
-                seen_gauges.add(name)
-                if help_text:
-                    lines.append(f"# HELP {name} {_escape_help(help_text)}")
-                lines.append(f"# TYPE {name} gauge")
-            label_str = ",".join(
-                f'{key}="{_escape_label(str(value))}"'
-                for key, value in sorted(labels.items())
-            )
-            rendered = f"{{{label_str}}}" if label_str else ""
-            lines.append(f"{name}{rendered} {float(sample())}")
-        return "\n".join(lines) + "\n"

@@ -16,10 +16,10 @@ attempt that actually completed while ``queue`` absorbs all of the lost
 time — matching the paper's accounting, where preemption-induced retry
 time stays inside the end-to-end latency.
 
-The :class:`SpanRecorder` owns the open spans, aggregates completed ones
-into per-leg percentile recorders, and emits one
+The :class:`SpanRecorder` owns the open spans and emits one
 :class:`~repro.telemetry.events.RequestSpanEvent` per finished request
-onto the telemetry bus.
+onto the telemetry bus; :class:`~repro.telemetry.metrics.MetricsSink`
+aggregates the legs of completed requests from there.
 """
 
 from __future__ import annotations
@@ -27,13 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim.metrics import LatencyRecorder, LatencySummary
 from repro.telemetry.events import NULL_BUS, EventBus, RequestSpanEvent
 
 __all__ = ["RequestSpan", "SpanRecorder"]
-
-#: Leg names in breakdown order.
-LEGS = ("queue", "prefill", "decode", "wan")
 
 
 @dataclass
@@ -130,15 +126,11 @@ class RequestSpan:
 
 
 class SpanRecorder:
-    """Tracks open spans and summarises finished ones per leg."""
+    """Tracks open spans and publishes each finished one as an event."""
 
     def __init__(self, bus: Optional[EventBus] = None) -> None:
         self.bus = bus if bus is not None else NULL_BUS
         self._open: dict[int, RequestSpan] = {}
-        self.completed: list[RequestSpan] = []
-        self.failed: list[RequestSpan] = []
-        self._leg_recorders = {leg: LatencyRecorder(leg) for leg in LEGS}
-        self._total_recorder = LatencyRecorder("total")
 
     def open(self, request_id: int, arrival: float) -> RequestSpan:
         span = RequestSpan(request_id=request_id, arrival=arrival)
@@ -159,10 +151,6 @@ class SpanRecorder:
         if span is None:
             return None
         span._finalize(finish, wan, "ok")
-        self.completed.append(span)
-        for leg in LEGS:
-            self._leg_recorders[leg].record(max(span.legs[leg], 0.0))
-        self._total_recorder.record(max(span.total, 0.0))
         if self.bus.enabled:
             self.bus.emit(span.to_event())
         return span
@@ -173,17 +161,6 @@ class SpanRecorder:
         if span is None:
             return None
         span._finalize(now, 0.0, "failed")
-        self.failed.append(span)
         if self.bus.enabled:
             self.bus.emit(span.to_event())
         return span
-
-    # -- aggregation ----------------------------------------------------
-    def leg_summaries(self) -> dict[str, LatencySummary]:
-        """Percentile summary per leg plus ``total``, over completed
-        requests (NaN-safe when nothing completed)."""
-        summaries = {
-            leg: recorder.summary() for leg, recorder in self._leg_recorders.items()
-        }
-        summaries["total"] = self._total_recorder.summary()
-        return summaries

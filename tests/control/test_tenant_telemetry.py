@@ -1,4 +1,4 @@
-"""Tenant event kinds flow into metrics, run reports, and summaries."""
+"""Tenant event kinds flow into metrics, run reports, and dashboards."""
 
 from repro.telemetry.events import (
     TenantAdmission,
@@ -7,7 +7,6 @@ from repro.telemetry.events import (
     event_from_dict,
 )
 from repro.telemetry.metrics import MetricsSink
-from repro.telemetry.render import format_summary
 from repro.telemetry.report import build_report, render_dashboard
 
 
@@ -65,7 +64,10 @@ class TestTenantReportSections:
         assert "a" in text and "b" in text
 
     def test_event_log_summary_renders_tenant_table(self):
-        text = format_summary(sample_events())
-        assert "tenants:" in text
-        assert "$2.00" in text
-        assert "$3.00" in text
+        # ``repro report LOG`` is the event-log summary: each tenant's
+        # row carries its final accrued cost.
+        text = render_dashboard(build_report(sample_events()))
+        rows = {line.split()[0]: line for line in text.splitlines()
+                if line.startswith("    ") and line.split()[0] in ("a", "b")}
+        assert rows["a"].rstrip().endswith("2.00")
+        assert rows["b"].rstrip().endswith("3.00")

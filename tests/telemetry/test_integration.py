@@ -92,10 +92,17 @@ class TestJsonlRoundTrip:
         }
 
 
+def _span_events(sink, status):
+    return [
+        e for e in sink.events if e.kind == "request.span" and e.status == status
+    ]
+
+
 class TestSpanAccounting:
     def test_span_totals_equal_client_latencies(self):
-        service, report = run_once(EventBus([RingBufferSink()]))
-        spans = service.client.spans.completed
+        sink = RingBufferSink()
+        service, report = run_once(EventBus([sink]))
+        spans = _span_events(sink, "ok")
         assert len(spans) == report.completed
         span_totals = sorted(s.total for s in spans)
         latencies = sorted(service.client.latencies.samples)
@@ -104,14 +111,17 @@ class TestSpanAccounting:
         assert span_totals == pytest.approx(latencies, abs=1e-9)
 
     def test_legs_sum_to_total(self):
-        service, _ = run_once(EventBus([RingBufferSink()]))
-        for span in service.client.spans.completed:
-            assert sum(span.legs.values()) == pytest.approx(span.total, abs=1e-9)
-            assert all(v >= 0 for v in span.legs.values())
+        sink = RingBufferSink()
+        run_once(EventBus([sink]))
+        for span in _span_events(sink, "ok"):
+            legs = (span.queue, span.prefill, span.decode, span.wan)
+            assert sum(legs) == pytest.approx(span.total, abs=1e-9)
+            assert all(v >= 0 for v in legs)
 
     def test_failed_requests_get_failed_spans(self):
-        service, report = run_once(EventBus([RingBufferSink()]))
-        assert len(service.client.spans.failed) == report.failed
+        sink = RingBufferSink()
+        service, report = run_once(EventBus([sink]))
+        assert len(_span_events(sink, "failed")) == report.failed
         # Requests still in flight when the run ends keep open spans.
         in_flight = report.total_requests - report.completed - report.failed
         assert service.client.spans.open_count == in_flight

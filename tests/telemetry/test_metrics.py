@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from repro.telemetry import (
+    ChaosInjected,
     CostSnapshot,
     EventBus,
     FleetSample,
     MetricRegistry,
     MetricsSink,
+    PolicyDecision,
+    ReplicaLaunch,
     ReplicaPreempted,
     RequestSpanEvent,
     registry_from_events,
@@ -147,6 +150,74 @@ class TestRegistry:
         assert "lat_seconds_count 3" in text
 
 
+def _launch(i, zone="aws:z:a"):
+    return ReplicaLaunch(time=float(i), replica_id=i, zone=zone, spot=True)
+
+
+class TestPrometheusRendering:
+    """The exposition ``repro serve --metrics-out`` writes."""
+
+    def test_events_counted_by_kind(self):
+        reg = registry_from_events([
+            _launch(1),
+            _launch(2),
+            ReplicaPreempted(time=3.0, replica_id=3, zone="aws:z:b", spot=True,
+                             warned=False),
+        ])
+        text = reg.render_prometheus()
+        assert 'events_total{kind="replica.launch"} 2.0' in text
+        assert 'events_total{kind="replica.preempted"} 1.0' in text
+        assert 'replica_preemptions_total{zone="aws:z:b"} 1.0' in text
+
+    def test_text_format(self):
+        text = registry_from_events([_launch(1)]).render_prometheus()
+        assert "# TYPE events_total counter" in text
+        assert text.endswith("\n")
+
+    def test_gauge_renders_last_value(self):
+        reg = MetricRegistry()
+        cost = reg.gauge("cost_dollars", "Accrued cost.", ("market",))
+        cost.labels("spot").set(0.0, 1.0)
+        cost.labels("spot").set(5.0, 2.5)
+        text = reg.render_prometheus()
+        assert "# TYPE cost_dollars gauge" in text
+        assert 'cost_dollars{market="spot"} 2.5' in text
+
+    def test_label_quote_escaped(self):
+        text = registry_from_events([_launch(1, zone='z"1')]).render_prometheus()
+        assert 'zone="z\\"1"' in text
+
+    def test_label_backslash_and_newline_escaped(self):
+        # Exposition format: \ -> \\, " -> \", newline -> \n, in that
+        # escape order (a backslash introduced by the quote escape must
+        # not be doubled).
+        events = [_launch(1, zone='a\\b"c\nd')]
+        text = registry_from_events(events).render_prometheus()
+        assert 'zone="a\\\\b\\"c\\nd"' in text
+
+    def test_gauge_label_values_escaped(self):
+        reg = MetricRegistry()
+        reg.gauge("cost_dollars", labels=("zone",)).labels('z"1\n').set(0.0, 1.0)
+        assert 'zone="z\\"1\\n"' in reg.render_prometheus()
+
+    def test_help_text_escaped(self):
+        # HELP lines escape backslash and newline (quotes are legal).
+        reg = MetricRegistry()
+        reg.gauge(
+            "cost_dollars", 'Accrued "cost"\nwith a \\ backslash.'
+        ).labels().set(0.0, 1.0)
+        text = reg.render_prometheus()
+        assert (
+            '# HELP cost_dollars Accrued "cost"\\nwith a \\\\ backslash.'
+            in text
+        )
+        # The exposition stays one-metric-per-line despite the newline.
+        assert all(
+            line.startswith(("#", "cost_dollars"))
+            for line in text.strip().split("\n")
+        )
+
+
 def _span(time, status="ok", **kw):
     defaults = dict(
         request_id=1, status=status, queue=0.1, prefill=0.2, decode=1.0,
@@ -189,6 +260,31 @@ class TestMetricsSink:
         assert ttft.labels().count == 1
         # TTFT = queue + prefill + wan.
         assert ttft.labels().total == pytest.approx(0.35)
+
+    def test_legs_only_observed_for_ok_spans(self):
+        # A failed span's legs are clamped placeholders (queue = time to
+        # the deadline); they must stay out of the leg percentiles.
+        sink = MetricsSink()
+        sink.accept(_span(1.0))
+        sink.accept(_span(2.0, status="failed", queue=60.0, prefill=0.0,
+                          decode=0.0, wan=0.0, total=60.0))
+        legs = sink.registry.histogram("request_leg_seconds", labels=("leg",))
+        assert legs.labels("queue").count == 1
+        assert legs.labels("queue").max == pytest.approx(0.1)
+
+    def test_policy_and_chaos_counters(self):
+        reg = registry_from_events([
+            PolicyDecision(time=1.0, policy="SpotHedge", decision="rebalance"),
+            PolicyDecision(time=2.0, policy="SpotHedge", decision="rebalance"),
+            PolicyDecision(time=3.0, policy="SpotHedge", decision="fallback"),
+            ChaosInjected(time=4.0, scenario="s", injection="preemption_storm",
+                          zones=["z"]),
+        ])
+        decisions = reg.get("policy_decisions_total").children()
+        assert decisions[("rebalance",)].value == 2
+        assert decisions[("fallback",)].value == 1
+        chaos = reg.get("chaos_injections_total").children()
+        assert chaos[("preemption_storm",)].value == 1
 
     def test_every_event_counted_by_kind(self):
         events = [_span(float(i)) for i in range(3)]

@@ -5,11 +5,23 @@ import json
 import numpy as np
 
 from repro.telemetry import (
+    AutoscaleDecision,
+    ChaosInjected,
+    ChaosScenarioEnded,
+    ChaosScenarioStarted,
     CostSnapshot,
     EventBus,
+    EventsDropped,
     FleetSample,
+    LoadBalancerFallback,
+    PolicyDecision,
     ProfilePhase,
+    ReplicaLaunch,
+    ReplicaPreempted,
+    ReplicaReady,
+    ReplicaTerminated,
     RingBufferSink,
+    SloBurnAlert,
     build_report,
     render_dashboard,
 )
@@ -37,6 +49,46 @@ def _events():
         events.append(_span(t, status="ok" if i % 5 else "failed"))
     events.append(CostSnapshot(200.0, 1.25, 2.75, 4.0))
     return events
+
+
+def _log_events():
+    """A small serve-style log: lifecycle, policy, spans, final cost."""
+    return [
+        ReplicaLaunch(time=0.0, replica_id=1, zone="aws:z:a", spot=True),
+        ReplicaLaunch(time=0.0, replica_id=2, zone="aws:z:b", spot=False),
+        ReplicaReady(time=120.0, replica_id=1, zone="aws:z:a", spot=True),
+        ReplicaReady(time=90.0, replica_id=2, zone="aws:z:b", spot=False),
+        PolicyDecision(
+            time=150.0, policy="SpotHedge", decision="rebalance",
+            data={"restored": ["aws:z:c"]},
+        ),
+        AutoscaleDecision(time=200.0, old_target=2, new_target=3, request_rate=0.4),
+        _span(210.0),
+        _span(220.0),
+        _span(230.0, status="failed"),
+        ReplicaPreempted(time=300.0, replica_id=1, zone="aws:z:a", spot=True,
+                         warned=True),
+        ReplicaTerminated(time=400.0, replica_id=2, zone="aws:z:b", spot=False,
+                          reason="scale_down"),
+        CostSnapshot(time=500.0, spot=1.25, on_demand=0.75, total=2.0),
+    ]
+
+
+def _chaos_events():
+    return [
+        ChaosScenarioStarted(time=0.0, scenario="storm-demo", injections=2),
+        ChaosInjected(time=3600.0, scenario="storm-demo",
+                      injection="preemption_storm",
+                      zones=["aws:z:a", "aws:z:b"],
+                      detail="pulse systemic severity=1"),
+        ChaosInjected(time=3900.0, scenario="storm-demo",
+                      injection="preemption_storm", zones=["aws:z:a"],
+                      detail="pulse independent severity=1"),
+        ChaosInjected(time=5000.0, scenario="storm-demo",
+                      injection="warning_disruption", zones=["aws:z:b"],
+                      detail="warning suppressed"),
+        ChaosScenarioEnded(time=10800.0, scenario="storm-demo", injected=3),
+    ]
 
 
 class TestDownsample:
@@ -112,6 +164,54 @@ class TestBuildReport:
         assert data["alerts"][0]["state"] == "firing"
         assert data["slo"]["ttft"]["firing"]
 
+    def test_last_dropped_marker_wins(self):
+        events = [EventsDropped(1.0, 3, 10), EventsDropped(2.0, 9, 10)]
+        assert build_report(events).to_dict()["events"]["dropped_total"] == 9
+
+    def test_event_log_counters(self):
+        data = build_report(_log_events()).to_dict()
+        assert data["events"]["count"] == 12
+        assert data["events"]["time_start"] == 0.0
+        assert data["events"]["time_end"] == 500.0
+        counters = data["counters"]
+        assert counters["events_total"]["request.span"] == 3
+        assert counters["replica_preemptions_total"] == {"aws:z:a": 1}
+        assert counters["replica_preemptions_warned_total"] == {"aws:z:a": 1}
+        assert counters["policy_decisions_total"] == {"rebalance": 1}
+        assert data["latency"]["latency.ok"]["count"] == 2
+        assert data["latency"]["latency.failed"]["count"] == 1
+        assert data["cost"] == {"on_demand": 0.75, "spot": 1.25, "total": 2.0}
+
+    def test_leg_rows_cover_completed_requests_only(self):
+        latency = build_report(_events()).to_dict()["latency"]
+        for leg in ("queue", "prefill", "decode", "wan"):
+            assert latency[f"leg.{leg}"]["count"] == 16
+        assert latency["leg.decode"]["p50"] == 0.6
+
+    def test_chaos_counters(self):
+        counters = build_report(_chaos_events()).to_dict()["counters"]
+        assert counters["chaos_injections_total"] == {
+            "preemption_storm": 2,
+            "warning_disruption": 1,
+        }
+        assert counters["events_total"]["chaos.scenario_ended"] == 1
+
+    def test_lb_fallbacks_counted(self):
+        events = _log_events() + [
+            LoadBalancerFallback(10.0, 5, 1, "locality"),
+            LoadBalancerFallback(11.0, 6, 2, "locality"),
+        ]
+        counters = build_report(events).to_dict()["counters"]
+        assert counters["lb_fallbacks_total"] == {"": 2}
+
+    def test_empty_log(self):
+        data = build_report([]).to_dict()
+        assert data["events"]["count"] == 0
+        assert data["events"]["time_start"] is None
+        assert data["counters"] == {}
+        assert data["latency"] == {}
+        assert data["cost"] == {}
+
     def test_from_replay_events(self):
         from repro.cloud import SpotTrace
         from repro.core import spothedge
@@ -148,3 +248,55 @@ class TestRenderDashboard:
         a = render_dashboard(build_report(events, label="x"))
         b = render_dashboard(build_report(events, label="x"))
         assert a == b
+
+    def test_event_log_sections(self):
+        text = render_dashboard(build_report(_log_events(), label="serve"))
+        assert "span: 8.3m (t=0s..500s)" in text
+        assert "leg.queue" in text
+        assert "latency.failed" in text
+        assert "cost: $2.00 (spot $1.25 / on-demand $0.75)" in text
+        lines = text.splitlines()
+        # One row per label set under each counter family's total.
+        at = lines.index(
+            next(line for line in lines if "replica_preemptions_total" in line)
+        )
+        assert lines[at + 1].split() == ["aws:z:a", "1"]
+        assert any(line.split() == ["rebalance", "1"] for line in lines)
+        assert any(line.split() == ["replica.launch", "2"] for line in lines)
+
+    def test_chaos_and_policy_rows(self):
+        events = _log_events() + _chaos_events()
+        text = render_dashboard(build_report(events))
+        assert "chaos_injections_total" in text
+        assert "policy_decisions_total" in text
+        lines = [line.split() for line in text.splitlines()]
+        assert ["preemption_storm", "2"] in lines
+        assert ["warning_disruption", "1"] in lines
+
+    def test_no_chaos_no_rows(self):
+        assert "chaos" not in render_dashboard(build_report(_log_events()))
+
+    def test_dropped_events_warning(self):
+        events = _log_events() + [EventsDropped(450.0, 7, 1000)]
+        text = render_dashboard(build_report(events))
+        assert "WARNING: the producing sink dropped 7 events" in text
+        assert "undercount" in text
+
+    def test_no_drops_no_warning(self):
+        assert "WARNING" not in render_dashboard(build_report(_log_events()))
+
+    def test_recorded_burn_alert_rows(self):
+        events = _log_events() + [
+            SloBurnAlert(50.0, "ttft", "firing", 20.0, 12.0, 300.0, 3600.0, 10.0),
+            SloBurnAlert(90.0, "ttft", "resolved", 1.0, 2.0, 300.0, 3600.0, 10.0),
+        ]
+        text = render_dashboard(build_report(events))
+        lines = [line.split() for line in text.splitlines()]
+        assert ["slo_burn_alerts_total", "2"] in lines
+        assert ["ttft,firing", "1"] in lines
+        assert ["ttft,resolved", "1"] in lines
+
+    def test_empty_log_renders(self):
+        text = render_dashboard(build_report([], label="empty"))
+        assert "events: 0" in text
+        assert "span: n/a" in text

@@ -6,7 +6,6 @@ import pytest
 
 from repro.telemetry import (
     JsonlSink,
-    PrometheusSnapshot,
     ReplicaLaunch,
     ReplicaPreempted,
     ReplicaReady,
@@ -107,80 +106,16 @@ class TestJsonlSink:
                         '"replica_id": 1, "zone": "z", "spot": true}\n\n')
         assert len(read_events(path)) == 1
 
+    def test_missing_fields_name_the_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind": "replica.launch", "time": 0.0, '
+                        '"replica_id": 1, "zone": "z", "spot": true}\n'
+                        '{"kind": "replica.ready", "time": 1.0}\n')
+        with pytest.raises(ValueError, match=r"line 2: .*replica_id, zone, spot"):
+            read_events(path)
 
-class TestPrometheusSnapshot:
-    def test_counts_by_kind_and_zone(self):
-        snap = PrometheusSnapshot()
-        snap.accept(_event(1))
-        snap.accept(_event(2))
-        snap.accept(ReplicaReady(time=3.0, replica_id=3, zone="aws:z:b", spot=True))
-        assert snap.counts() == {
-            ("replica.ready", "aws:z:a"): 2,
-            ("replica.ready", "aws:z:b"): 1,
-        }
-        assert snap.last_event_time == 3.0
-
-    def test_render_text_format(self):
-        snap = PrometheusSnapshot()
-        snap.accept(_event(1))
-        text = snap.render()
-        assert "# TYPE repro_events_total counter" in text
-        assert 'repro_events_total{kind="replica.ready",zone="aws:z:a"} 1' in text
-        assert text.endswith("\n")
-
-    def test_gauges_sampled_at_render_time(self):
-        snap = PrometheusSnapshot()
-        cost = {"value": 1.0}
-        snap.register_gauge(
-            "repro_cost_dollars",
-            lambda: cost["value"],
-            labels={"market": "spot"},
-            help_text="Accrued cost.",
-        )
-        cost["value"] = 2.5  # mutated after registration, before render
-        text = snap.render()
-        assert "# TYPE repro_cost_dollars gauge" in text
-        assert 'repro_cost_dollars{market="spot"} 2.5' in text
-
-    def test_label_escaping(self):
-        snap = PrometheusSnapshot()
-        snap.accept(ReplicaReady(time=0.0, replica_id=1, zone='z"1', spot=True))
-        assert 'zone="z\\"1"' in snap.render()
-
-    def test_label_escaping_backslash_and_newline(self):
-        # Exposition format: \ -> \\, " -> \", newline -> \n, in that
-        # escape order (a backslash introduced by the quote escape must
-        # not be doubled).
-        snap = PrometheusSnapshot()
-        snap.accept(
-            ReplicaReady(time=0.0, replica_id=1, zone='a\\b"c\nd', spot=True)
-        )
-        assert 'zone="a\\\\b\\"c\\nd"' in snap.render()
-
-    def test_gauge_label_values_escaped(self):
-        snap = PrometheusSnapshot()
-        snap.register_gauge(
-            "repro_cost_dollars",
-            lambda: 1.0,
-            labels={"zone": 'z"1\n'},
-        )
-        assert 'zone="z\\"1\\n"' in snap.render()
-
-    def test_help_text_escaped(self):
-        # HELP lines escape backslash and newline (quotes are legal).
-        snap = PrometheusSnapshot()
-        snap.register_gauge(
-            "repro_cost_dollars",
-            lambda: 1.0,
-            help_text='Accrued "cost"\nwith a \\ backslash.',
-        )
-        text = snap.render()
-        assert (
-            '# HELP repro_cost_dollars Accrued "cost"\\nwith a \\\\ backslash.'
-            in text
-        )
-        # The exposition stays one-metric-per-line despite the newline.
-        assert all(
-            line.startswith(("#", "repro_"))
-            for line in text.strip().split("\n")
-        )
+    def test_non_object_payload_names_the_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match=r"line 1: expected a JSON object"):
+            read_events(path)

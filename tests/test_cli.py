@@ -145,36 +145,62 @@ class TestCompareCommand:
 
 
 class TestEventsCommand:
-    def _serve_with_events(self, tmp_path, capsys):
+    def _serve_with_events(self, tmp_path, capsys, trace="aws1", hours="0.3"):
         log = tmp_path / "events.jsonl"
         assert main([
-            "serve", "--trace", "aws1", "--hours", "0.3", "--rate", "0.2",
+            "serve", "--trace", trace, "--hours", hours, "--rate", "0.2",
             "--events", str(log),
         ]) == 0
         capsys.readouterr()  # discard the serve report
         return log
 
     def test_serve_then_summarize(self, tmp_path, capsys):
-        log = self._serve_with_events(tmp_path, capsys)
-        assert log.exists()
-        assert main(["events", str(log)]) == 0
+        # aws2 reclaims us-east-1c spot capacity ~40 min in, so this log
+        # has preemptions as well as failed requests.
+        log = self._serve_with_events(tmp_path, capsys, trace="aws2", hours="0.8")
+        assert main(["report", str(log)]) == 0
         out = capsys.readouterr().out
-        assert "events by kind:" in out
-        assert "replica timeline:" in out
-        assert "request spans:" in out
+        rows = [line.split() for line in out.splitlines()]
+        at = rows.index(next(r for r in rows if r[:1] == ["replica_preemptions_total"]))
+        assert rows[at + 1][0] == "aws:us-east-1:us-east-1c"
+        for leg in ("queue", "prefill", "decode", "wan"):
+            assert any(r[:1] == [f"leg.{leg}"] for r in rows)
+        ok = next(r for r in rows if r[:1] == ["latency.ok"])
+        failed = next(r for r in rows if r[:1] == ["latency.failed"])
+        assert int(ok[1]) > 0 and int(failed[1]) > 0
+        assert "(spot $" in out and "/ on-demand $" in out
 
     def test_timeline_and_kind_filter(self, tmp_path, capsys):
         log = self._serve_with_events(tmp_path, capsys)
-        assert main(["events", str(log), "--timeline",
-                     "--kind", "replica.launch"]) == 0
+        assert main(["events", str(log), "--kind", "replica.launch"]) == 0
         out = capsys.readouterr().out
         lines = [line for line in out.splitlines() if line.strip()]
         assert lines
-        assert all("replica.launch" in line for line in lines)
+        assert all("replica.launch " in line for line in lines)
+        # A family prefix lists the whole replica lifecycle.
+        assert main(["events", str(log), "--kind", "replica"]) == 0
+        kinds = {line.split()[2] for line in capsys.readouterr().out.splitlines()}
+        assert {"replica.launch", "replica.ready", "replica.load"} <= kinds
+        assert all(kind.startswith("replica.") for kind in kinds)
 
     def test_missing_log_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["events", str(tmp_path / "nope.jsonl")])
+
+    @pytest.mark.parametrize("command", ["events", "report"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"kind": "replica.ready", "time": 1.0}',
+             "line 1: 'replica.ready' event missing field"),
+            ("[1, 2]", "line 1: expected a JSON object"),
+        ],
+    )
+    def test_malformed_log_exits_cleanly(self, tmp_path, command, line, message):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(line + "\n")
+        with pytest.raises(SystemExit, match=message):
+            main([command, str(log)])
 
     def test_metrics_out_writes_prometheus_text(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.prom"
@@ -183,8 +209,8 @@ class TestEventsCommand:
             "--metrics-out", str(metrics),
         ]) == 0
         text = metrics.read_text()
-        assert "# TYPE repro_events_total counter" in text
-        assert "repro_events_total{" in text
+        assert "# TYPE events_total counter" in text
+        assert 'events_total{kind="replica.launch"}' in text
 
     def test_log_level_flag_accepted(self, capsys):
         assert main([
