@@ -413,6 +413,39 @@ def test_latency_estimation_throughput(benchmark):
     assert requests_per_second > 1_000_000
 
 
+def test_comparison_throughput(benchmark):
+    """The §5.1 four-system comparison on the request-level harness:
+    ``run_comparison("volatile")`` over an Arena window (a quarter hour
+    in smoke mode, two hours otherwise) at 1.2 req/s with 3x bursts.
+    Spot is scarce, so most requests wait for a ready replica — the
+    client's retry path dominates the work."""
+    from repro.cloud import HOUR
+    from repro.experiments import run_comparison
+    from repro.workloads import arena_workload
+
+    duration = (0.25 if SMOKE else 2.0) * HOUR
+    workload = arena_workload(duration, base_rate=1.2, burst_multiplier=3.0, seed=3)
+
+    def run():
+        return run_comparison("volatile", workload, duration, seed=3)
+
+    times = []
+    for _ in range(3 if SMOKE else 1):
+        start = time.perf_counter()
+        results = run()
+        times.append(time.perf_counter() - start)
+    requests = sum(r.report.total_requests for r in results.values())
+    requests_per_second = requests / min(times)
+    print(f"\ncomparison: {min(times):.2f}s for {requests} requests "
+          f"({requests_per_second:,.0f} req/s)")
+    record_baseline(
+        "comparison", seconds=min(times), requests=requests,
+        requests_per_second=requests_per_second,
+    )
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    assert requests == 4 * len(workload)
+
+
 def _sweep_point(n_tar, cold_start, trace=None):
     replayer = TraceReplayer(trace, ReplayConfig(n_tar=n_tar, cold_start=cold_start))
     result = replayer.run(spothedge(ZONES))

@@ -21,7 +21,6 @@ Behaviours reproduced from the paper's observations:
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import AbstractSet, Mapping, Optional, Sequence
 
 import numpy as np
@@ -59,18 +58,37 @@ class MArkPolicy(ServingPolicy):
         self.placer = EvenSpreadPlacer(zones, zone_costs)
         self.prediction_horizon = prediction_horizon
         self.history_window = history_window
-        self._history: deque[tuple[float, int]] = deque()
+        # (time, N_Tar) history: rows [_start, _end) of two preallocated
+        # arrays, so each fit slices them instead of rebuilding arrays.
+        self._times = np.empty(64)
+        self._targets = np.empty(64)
+        self._start = 0
+        self._end = 0
+
+    def _append_history(self, now: float, n_tar: int) -> None:
+        if self._end == len(self._times):
+            # Full: drop the expired prefix, doubling when over half is live.
+            live = self._end - self._start
+            size = len(self._times) * (2 if 2 * live > len(self._times) else 1)
+            times, targets = np.empty(size), np.empty(size)
+            times[:live] = self._times[self._start : self._end]
+            targets[:live] = self._targets[self._start : self._end]
+            self._times, self._targets = times, targets
+            self._start, self._end = 0, live
+        self._times[self._end] = now
+        self._targets[self._end] = n_tar
+        self._end += 1
 
     def _predicted_target(self, obs: Observation) -> int:
         """Extrapolate the N_Tar trend ``prediction_horizon`` ahead."""
-        self._history.append((obs.now, obs.n_tar))
+        self._append_history(obs.now, obs.n_tar)
         cutoff = obs.now - self.history_window
-        while self._history and self._history[0][0] < cutoff:
-            self._history.popleft()
-        if len(self._history) < 2:
+        while self._start < self._end and self._times[self._start] < cutoff:
+            self._start += 1
+        if self._end - self._start < 2:
             return obs.n_tar
-        times = np.asarray([t for t, _ in self._history])
-        targets = np.asarray([n for _, n in self._history], dtype=float)
+        times = self._times[self._start : self._end]
+        targets = self._targets[self._start : self._end]
         if float(times[-1] - times[0]) <= 0:
             return obs.n_tar
         slope, intercept = np.polyfit(times, targets, 1)

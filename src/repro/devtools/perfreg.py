@@ -79,6 +79,7 @@ THROUGHPUT_FIELDS: dict[str, str] = {
     "hybrid_sweep": "points_per_second",
     "batched_inference": "requests_per_second",
     "latency_estimation": "requests_per_second",
+    "comparison": "requests_per_second",
 }
 
 

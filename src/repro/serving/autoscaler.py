@@ -21,10 +21,11 @@ lets the autoscaler react to the continuous-batching overload regime.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from collections import deque
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from repro.serving.spec import ReplicaPolicyConfig
 
@@ -36,12 +37,23 @@ logger = logging.getLogger(__name__)
 class Autoscaler:
     """QPS-window autoscaler computing the paper's N_Tar(t)."""
 
-    def __init__(self, config: ReplicaPolicyConfig, *, initial_target: int = 1) -> None:
+    def __init__(
+        self,
+        config: ReplicaPolicyConfig,
+        *,
+        initial_target: int = 1,
+        before_read: Optional[Callable[[], None]] = None,
+    ) -> None:
         self.config = config
+        #: Called before every read of the arrival window, so arrivals
+        #: recorded lazily (a controller's parked retries) are counted.
+        self._before_read = before_read
         if config.fixed_target is not None:
             initial_target = config.fixed_target
         self._n_tar = self._clamp(initial_target)
-        self._arrivals: deque[float] = deque()
+        #: Arrival times in the trailing window, as a min-heap: lazily
+        #: counted retries arrive out of time order.
+        self._arrivals: list[float] = []
         self._above_since: Optional[float] = None
         self._below_since: Optional[float] = None
         #: (time, violated) samples for TTFT / TPOT, pruned to slo_window.
@@ -55,9 +67,29 @@ class Autoscaler:
         """The current target number of ready replicas, N_Tar(t)."""
         return self._n_tar
 
+    def _prune(self, now: float) -> float:
+        """Drop arrivals before the window ending at ``now``; returns
+        the window's start."""
+        cutoff = now - self.config.qps_window
+        arrivals = self._arrivals
+        while arrivals and arrivals[0] < cutoff:
+            heapq.heappop(arrivals)
+        return cutoff
+
     def record_request(self, time: float) -> None:
         """Note one request arrival (fed by the load balancer)."""
-        self._arrivals.append(time)
+        self.record_requests((time,), now=time)
+
+    def record_requests(self, times: Iterable[float], *, now: float) -> None:
+        """Note arrivals at or before ``now`` (the current simulated
+        time), in any order.  Arrivals older than one window before
+        ``now`` are dropped here, since no later read can count them, so
+        the window never outgrows itself."""
+        cutoff = self._prune(now)
+        arrivals = self._arrivals
+        for time in times:
+            if time >= cutoff:
+                heapq.heappush(arrivals, time)
 
     def request_rate(self, now: float) -> float:
         """Average request rate over the trailing window.
@@ -67,9 +99,9 @@ class Autoscaler:
         underestimates R_t and delays the first upscale by however much
         of the window has not happened yet.
         """
-        cutoff = now - self.config.qps_window
-        while self._arrivals and self._arrivals[0] < cutoff:
-            self._arrivals.popleft()
+        if self._before_read is not None:
+            self._before_read()
+        self._prune(now)
         window = min(now, self.config.qps_window)
         if window <= 0.0:
             return 0.0

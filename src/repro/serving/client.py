@@ -9,7 +9,11 @@ reproducing the §5.1 client behaviour:
 * when no replica is ready — or admission control sheds the request —
   the client retries until the deadline, either at a fixed interval
   (the legacy behaviour) or with seeded jittered exponential backoff
-  when a :class:`RetryPolicy` is attached;
+  when a :class:`RetryPolicy` is attached.  At a fixed interval, a
+  request that finds the ready set empty *parks* instead of polling:
+  it holds no engine event until a replica becomes ready, then resumes
+  at the retry-grid point where its polling would first have succeeded
+  (see :class:`_ParkedRequest`);
 * when a replica is preempted mid-request, the client resends the
   request to another replica immediately, and the lost time stays inside
   the end-to-end latency ("all requests that fail due to spot preemption
@@ -40,6 +44,53 @@ from repro.workloads.request import Request, Workload
 __all__ = ["ClientStats", "RetryPolicy", "ServiceClient"]
 
 logger = logging.getLogger(__name__)
+
+
+class _ParkedRequest:
+    """A fixed-interval request parked on an empty ready set.
+
+    Polling would have retried at the grid ``t_{k+1} = t_k + interval``
+    (the float :meth:`SimulationEngine.call_after` produces) while
+    ``t_{k+1} < deadline``; ``last`` is the latest grid point already
+    counted.  Each skipped poll's one visible effect is its entry in the
+    autoscaler's request window, so the controller counts the points
+    that have fired whenever the window is read, the request wakes or
+    it dies.  A point ``t`` has fired at time ``now`` if ``t < now``, or
+    if ``t == now`` and its poll was scheduled (at the previous point)
+    before the running event was: events at one timestamp fire in
+    scheduling order.
+    """
+
+    __slots__ = ("client", "request", "deadline", "last")
+
+    def __init__(
+        self, client: ServiceClient, request: Request, deadline: float, last: float
+    ) -> None:
+        self.client = client
+        self.request = request
+        self.deadline = deadline
+        self.last = last
+
+    def skipped_polls(self, now: float, scheduled_at: float) -> list[float]:
+        interval = self.client.retry_interval
+        deadline = self.deadline
+        last = self.last
+        polls: list[float] = []
+        while True:
+            nxt = last + interval
+            if nxt >= deadline or nxt > now or (nxt == now and last >= scheduled_at):
+                break
+            polls.append(nxt)
+            last = nxt
+        self.last = last
+        return polls
+
+    def resume(self) -> None:
+        client = self.client
+        del client._parked[self.request.request_id]
+        client._retry_later(
+            self.request, self.deadline, at=self.last + client.retry_interval
+        )
 
 
 @dataclass(frozen=True)
@@ -137,6 +188,8 @@ class ServiceClient:
         self._ttft_seen: set[int] = set()
         #: Backoff count per request id (capacity retries only).
         self._backoffs: dict[int, int] = {}
+        #: Requests parked on the controller's empty ready set, by id.
+        self._parked: dict[int, _ParkedRequest] = {}
         self._scheduled = False
 
     def start(self) -> None:
@@ -164,29 +217,45 @@ class ServiceClient:
         self._failed.add(request.request_id)
         self.failures.add()
         self._backoffs.pop(request.request_id, None)
+        parked = self._parked.pop(request.request_id, None)
+        if parked is not None:
+            self.controller.unpark(parked)
         self.spans.fail(request.request_id, self.engine.now)
         logger.debug(
             "t=%.1f request %d timed out", self.engine.now, request.request_id
         )
 
-    def _retry_later(self, request: Request, deadline: float) -> None:
+    def _retry_later(
+        self, request: Request, deadline: float, *, at: Optional[float] = None
+    ) -> None:
         """Schedule the next attempt after a capacity signal (no ready
-        replica, or shed by admission control)."""
-        if self.backoff is None:
-            delay = self.retry_interval
-        else:
-            attempt = self._backoffs.get(request.request_id, 0)
-            self._backoffs[request.request_id] = attempt + 1
-            delay = self.backoff.delay(attempt, self._rng)
-        if self.engine.now + delay < deadline:
-            self.engine.call_after(delay, lambda: self._attempt(request, deadline))
+        replica, or shed by admission control), or at the grid point
+        ``at`` when a parked request wakes."""
+        if at is None:
+            if self.backoff is None:
+                delay = self.retry_interval
+            else:
+                attempt = self._backoffs.get(request.request_id, 0)
+                self._backoffs[request.request_id] = attempt + 1
+                delay = self.backoff.delay(attempt, self._rng)
+            at = self.engine.now + delay
+        if at < deadline:
+            self.engine.call_at(at, lambda: self._attempt(request, deadline))
 
     def _attempt(self, request: Request, deadline: float) -> None:
         if request.request_id in self._failed or request.request_id in self._completed:
             return
         replica = self.controller.route(request)
         if replica is None:
-            self._retry_later(request, deadline)
+            # A RetryPolicy poll draws jitter from the shared RNG, and a
+            # plugin balancer may refuse a non-empty ready set: both
+            # keep polling.  Otherwise park until a replica is ready.
+            if self.backoff is None and not self.controller.ready_replicas():
+                parked = _ParkedRequest(self, request, deadline, self.engine.now)
+                self._parked[request.request_id] = parked
+                self.controller.park(parked)
+            else:
+                self._retry_later(request, deadline)
             return
         span = self.spans.get(request.request_id)
         if span is not None:

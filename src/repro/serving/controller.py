@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 import logging
-from typing import Optional
+from bisect import insort
+from typing import Iterable, Optional, Protocol
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from repro.telemetry.events import (
 )
 from repro.workloads.request import Request
 
-__all__ = ["ServiceController"]
+__all__ = ["ParkedRetry", "ServiceController"]
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +60,22 @@ logger = logging.getLogger(__name__)
 # alive spot replicas.  Fig. 12 observes ~14 provisioning replicas for a
 # target of 4, i.e. a factor of ~3.5.
 _MAX_OVERREQUEST_FACTOR = 4
+
+
+class ParkedRetry(Protocol):
+    """A request waiting, with no heap entry, for the ready set to refill
+    (:meth:`ServiceController.park`)."""
+
+    def skipped_polls(self, now: float, scheduled_at: float) -> list[float]:
+        """Retry-grid points fired by ``now`` and not yet counted, in
+        order; marks them counted."""
+
+    def resume(self) -> None:
+        """Schedule the next attempt at the next retry-grid point."""
+
+
+def _replica_id(replica: Replica) -> int:
+    return replica.id
 
 
 class ServiceController:
@@ -95,9 +112,16 @@ class ServiceController:
         self._rng = rng
         self.reconcile_interval = reconcile_interval
         self.autoscaler = Autoscaler(
-            spec.replica_policy, initial_target=spec.replica_policy.min_replicas
+            spec.replica_policy,
+            initial_target=spec.replica_policy.min_replicas,
+            before_read=self._count_parked,
         )
         self.replicas: list[Replica] = []
+        #: Routable replicas (ready, not draining) in id order, kept by
+        #: :meth:`_sync_routable` on every replica state change.
+        self._ready: list[Replica] = []
+        #: Parked requests in park order (a dict used as an ordered set).
+        self._parked: dict[ParkedRetry, None] = {}
         self._replica_ids = itertools.count(1)
         self._instance_replica: dict[int, Replica] = {}
         self._adaptive_parallelism = adaptive_parallelism
@@ -250,21 +274,72 @@ class ServiceController:
             and not r.doomed
         ]
 
-    def _routable_replicas(self, spot: bool) -> list[Replica]:
-        """Replicas the balancer may still send traffic to — includes
-        doomed-but-alive ones riding out their warning grace."""
-        return [
-            r
-            for r in self.replicas
-            if r.spot == spot and r.is_ready and not r.draining
-        ]
-
     def ready_replicas(self) -> list[Replica]:
-        return [
-            r
-            for r in self.replicas
-            if r.is_ready and not r.draining
-        ]
+        """Routable replicas (ready, not draining) in id order.
+
+        This is the controller's live list, not a copy: read it, do not
+        keep or mutate it.
+        """
+        return self._ready
+
+    def _sync_routable(self, replica: Replica) -> None:
+        """The one notification path for routability: every replica
+        state or ``draining`` change lands here.  Keeps the ready list
+        and, when it goes from empty to non-empty, wakes every parked
+        request."""
+        ready = self._ready
+        if replica.state is ReplicaState.READY and not replica.draining:
+            if replica not in ready:
+                insort(ready, replica, key=_replica_id)
+                if len(ready) == 1 and self._parked:
+                    self._wake_parked()
+        elif replica in ready:
+            ready.remove(replica)
+
+    def _forget(self, replica: Replica) -> None:
+        """Drop a dead replica from the fleet (and so from routing)."""
+        if replica in self.replicas:
+            self.replicas.remove(replica)
+        self._sync_routable(replica)
+
+    # ------------------------------------------------------------------
+    # Parked retries
+    # ------------------------------------------------------------------
+    def park(self, waiter: ParkedRetry) -> None:
+        """Hold a request that found no ready replica until the ready set
+        refills.  It holds no heap entry meanwhile; its skipped polls
+        reach the autoscaler's window when it wakes, leaves, or the
+        window is read."""
+        self._parked[waiter] = None
+
+    def unpark(self, waiter: ParkedRetry) -> None:
+        """Remove a parked request (its deadline passed), counting the
+        polls it skipped."""
+        if waiter in self._parked:
+            del self._parked[waiter]
+            self._count_skipped((waiter,))
+
+    def _count_skipped(self, waiters: Iterable[ParkedRetry]) -> None:
+        engine = self.engine
+        now = engine.now
+        scheduled_at = engine.current_scheduled_at
+        polls: list[float] = []
+        for waiter in waiters:
+            polls += waiter.skipped_polls(now, scheduled_at)
+        if polls:
+            self.autoscaler.record_requests(polls, now=now)
+
+    def _count_parked(self) -> None:
+        """Autoscaler read hook: count every poll fired so far."""
+        if self._parked:
+            self._count_skipped(self._parked)
+
+    def _wake_parked(self) -> None:
+        waiters = list(self._parked)
+        self._parked.clear()
+        self._count_skipped(waiters)
+        for waiter in waiters:
+            waiter.resume()
 
     def observe(self) -> Observation:
         spot_alive = self._alive_replicas(spot=True)
@@ -476,8 +551,7 @@ class ServiceController:
             self.cloud.terminate(worker)
             self._instance_replica.pop(worker.id, None)
         replica.kill()
-        if replica in self.replicas:
-            self.replicas.remove(replica)
+        self._forget(replica)
         logger.debug(
             "t=%.1f replica %d terminated (%s)", self.engine.now, replica.id, reason
         )
@@ -511,6 +585,7 @@ class ServiceController:
             replica_id=next(self._replica_ids),
             max_queue=self.spec.max_queue_per_replica,
             capacity_weight=self._zone_weight.get(zone_id, 1.0),
+            on_change=self._sync_routable,
         )
         self.replicas.append(replica)
         itype = self._zone_itype[zone_id]
@@ -580,8 +655,7 @@ class ServiceController:
         was_alive = replica.state is not ReplicaState.DEAD
         replica.worker_lost(instance)
         if replica.state is ReplicaState.DEAD and was_alive:
-            if replica in self.replicas:
-                self.replicas.remove(replica)
+            self._forget(replica)
             for worker in list(replica.workers):
                 self.cloud.terminate(worker)
                 self._instance_replica.pop(worker.id, None)
@@ -648,8 +722,7 @@ class ServiceController:
         was_alive = replica.state is not ReplicaState.DEAD
         replica.worker_lost(instance)
         if replica.state is ReplicaState.DEAD and was_alive:
-            if replica in self.replicas:
-                self.replicas.remove(replica)
+            self._forget(replica)
             for worker in list(replica.workers):
                 self.cloud.terminate(worker)
                 self._instance_replica.pop(worker.id, None)
@@ -750,8 +823,8 @@ class ServiceController:
         od_alive = self._alive_replicas(spot=False)
         # Readiness counts include doomed-but-serving replicas: until
         # the cloud actually reclaims them they handle traffic.
-        ready_spot = len(self._routable_replicas(spot=True))
-        ready_od = len(self._routable_replicas(spot=False))
+        ready_spot = sum(1 for r in self._ready if r.spot)
+        ready_od = len(self._ready) - ready_spot
         self.ready_spot_series.record(now, ready_spot)
         self.ready_od_series.record(now, ready_od)
         self.ready_total_series.record(now, ready_spot + ready_od)

@@ -58,11 +58,14 @@ class Replica:
         replica_id: Optional[int] = None,
         max_queue: Optional[int] = None,
         capacity_weight: float = 1.0,
+        on_change: Optional[Callable[[Replica], None]] = None,
     ) -> None:
         # The controller passes its own per-service counter so replica
         # ids (and hence telemetry event streams) are reproducible
         # run-to-run within one process; the module-global counter only
-        # backs directly constructed replicas.
+        # backs directly constructed replicas.  ``on_change`` is called
+        # after every state or ``draining`` change, so the controller can
+        # keep its ready set without rescanning the fleet.
         if capacity_weight <= 0:
             raise ValueError("capacity_weight must be positive")
         self.id = replica_id if replica_id is not None else next(_replica_ids)
@@ -75,6 +78,7 @@ class Replica:
         #: normalise ongoing load by this, so an H100 replica absorbs
         #: proportionally more traffic than an L4 one.
         self.capacity_weight = capacity_weight
+        self._on_change = on_change
         self.adaptive_parallelism = adaptive_parallelism
         self.migration_pause = migration_pause
         self.workers: list[Instance] = []
@@ -83,9 +87,7 @@ class Replica:
         self.state = ReplicaState.PROVISIONING
         self.ready_at: Optional[float] = None
         self.died_at: Optional[float] = None
-        #: Set by the controller when the replica is being scaled down:
-        #: it finishes ongoing requests but receives no new traffic.
-        self.draining = False
+        self._draining = False
         #: Set when a preemption warning arrived: the replica keeps
         #: serving until the cloud reclaims it, but the controller
         #: launches its replacement immediately.
@@ -101,6 +103,21 @@ class Replica:
         """
         parts = self.zone_id.rsplit(":", 1)
         return parts[0] if len(parts) == 2 else self.zone_id
+
+    @property
+    def draining(self) -> bool:
+        """Set by the controller when the replica is being scaled down:
+        it finishes ongoing requests but receives no new traffic."""
+        return self._draining
+
+    @draining.setter
+    def draining(self, value: bool) -> None:
+        self._draining = value
+        self._changed()
+
+    def _changed(self) -> None:
+        if self._on_change is not None:
+            self._on_change(self)
 
     @property
     def is_ready(self) -> bool:
@@ -147,8 +164,10 @@ class Replica:
             self.state = ReplicaState.READY
             if became_ready:
                 self.ready_at = self.engine.now
+            self._changed()
             return became_ready
         self.state = ReplicaState.INITIALIZING
+        self._changed()
         return False
 
     def worker_lost(self, instance: Instance) -> None:
@@ -172,6 +191,7 @@ class Replica:
             self.kill()
             return
         self.state = ReplicaState.MIGRATING
+        self._changed()
         slowdown = self._initial_workers / len(survivors)
         self.server.set_slowdown(max(slowdown, 1.0))
         self.engine.call_after(self.migration_pause, self._migration_done)
@@ -179,6 +199,7 @@ class Replica:
     def _migration_done(self) -> None:
         if self.state is ReplicaState.MIGRATING:
             self.state = ReplicaState.READY
+            self._changed()
 
     def kill(self) -> None:
         """Tear the replica down, aborting all of its requests."""
@@ -186,6 +207,7 @@ class Replica:
             return
         self.state = ReplicaState.DEAD
         self.died_at = self.engine.now
+        self._changed()
         self.server.abort_all()
 
     # ------------------------------------------------------------------

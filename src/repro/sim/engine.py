@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,33 +35,41 @@ class SimulationError(RuntimeError):
     """Raised on invalid engine usage (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    """Internal heap entry.
+    """Internal event record.
 
-    Ordered by ``(time, seq)`` so that simultaneous events preserve
-    scheduling order.  The callback itself is excluded from ordering.
+    The heap holds ``(time, seq, event)`` tuples, so heap comparisons
+    run on the float and the int in C and never reach the record;
+    ``seq`` is unique, which keeps simultaneous events in scheduling
+    order.  ``scheduled_at`` is the simulated time :meth:`call_at` ran.
 
-    The entry participates in the engine's live pending-event count:
+    The record participates in the engine's live pending-event count:
     cancellation decrements the counter exactly once (and only while the
     entry is still queued), so :attr:`SimulationEngine.pending_events`
     never has to walk the heap.
     """
 
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Set once the entry has left the heap (fired or skipped).
-    popped: bool = field(default=False, compare=False)
-    engine: Optional[SimulationEngine] = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("time", "callback", "scheduled_at", "cancelled", "popped", "engine")
+
+    def __init__(
+        self,
+        time: float,
+        callback: Callable[[], None],
+        scheduled_at: float,
+        engine: SimulationEngine,
+    ) -> None:
+        self.time = time
+        self.callback = callback
+        self.scheduled_at = scheduled_at
+        self.cancelled = False
+        #: Set once the entry has left the heap (fired or skipped).
+        self.popped = False
+        self.engine = engine
 
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
-            if not self.popped and self.engine is not None:
+            if not self.popped:
                 self.engine._pending -= 1
 
 
@@ -100,11 +108,13 @@ class SimulationEngine:
         telemetry: Optional[EventBus] = None,
     ) -> None:
         self._now = float(start_time)
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
         self._pending = 0
+        # No event has run yet: nothing scheduled counts as fired.
+        self._scheduled_at = -math.inf
         if telemetry is None:
             # Local import: telemetry depends on sim.metrics, so a
             # module-level import would be circular.
@@ -128,6 +138,17 @@ class SimulationEngine:
         return self._events_processed
 
     @property
+    def current_scheduled_at(self) -> float:
+        """Simulated time at which the running event was scheduled.
+
+        Events at one timestamp fire in scheduling order, so an event
+        scheduled strictly before this time and due at :attr:`now` has
+        already fired.  After :meth:`run_until` returns, every event due
+        at or before :attr:`now` has fired and this is ``inf``.
+        """
+        return self._scheduled_at
+
+    @property
     def pending_events(self) -> int:
         """Number of queued, not-cancelled events.
 
@@ -146,10 +167,8 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule event at t={time:.3f}, now is t={self._now:.3f}"
             )
-        event = _ScheduledEvent(
-            time=float(time), seq=next(self._seq), callback=callback, engine=self
-        )
-        heapq.heappush(self._queue, event)
+        event = _ScheduledEvent(float(time), callback, self._now, self)
+        heapq.heappush(self._queue, (event.time, next(self._seq), event))
         self._pending += 1
         return EventHandle(event)
 
@@ -210,12 +229,13 @@ class SimulationEngine:
         skipped without advancing the clock.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             event.popped = True
             if event.cancelled:
                 continue  # counter already adjusted at cancel time
             self._pending -= 1
             self._now = event.time
+            self._scheduled_at = event.scheduled_at
             self._events_processed += 1
             event.callback()
             return True
@@ -232,23 +252,26 @@ class SimulationEngine:
             raise SimulationError(
                 f"end_time {end_time:.3f} is before now {self._now:.3f}"
             )
+        queue = self._queue
+        pop = heapq.heappop
         self._running = True
         try:
-            while self._queue:
-                event = self._queue[0]
-                if event.time > end_time:
+            while queue:
+                if queue[0][0] > end_time:
                     break
-                heapq.heappop(self._queue)
+                event = pop(queue)[2]
                 event.popped = True
                 if event.cancelled:
                     continue  # counter already adjusted at cancel time
                 self._pending -= 1
                 self._now = event.time
+                self._scheduled_at = event.scheduled_at
                 self._events_processed += 1
                 event.callback()
         finally:
             self._running = False
         self._now = end_time
+        self._scheduled_at = math.inf
 
     def run(self) -> None:
         """Run until the event queue drains completely."""

@@ -143,6 +143,39 @@ class TestMArk:
         with pytest.raises(ValueError):
             MArkPolicy(ZONES, history_window=0.0)
 
+    def test_array_history_matches_deque_reference(self):
+        """The preallocated-array history fits the same floats as the
+        deque-of-tuples version it replaced, so predictions are equal."""
+        import math
+        from collections import deque
+
+        import numpy as np
+
+        def reference(history, now, n_tar, horizon=300.0, window=1800.0):
+            history.append((now, n_tar))
+            while history and history[0][0] < now - window:
+                history.popleft()
+            if len(history) < 2:
+                return n_tar
+            times = np.asarray([t for t, _ in history])
+            targets = np.asarray([n for _, n in history], dtype=float)
+            if float(times[-1] - times[0]) <= 0:
+                return n_tar
+            slope, intercept = np.polyfit(times, targets, 1)
+            return max(n_tar, int(math.ceil(slope * (now + horizon) + intercept)))
+
+        rng = np.random.default_rng(5)
+        policy = MArkPolicy(ZONES)
+        history: deque = deque()
+        now = 0.0
+        for _ in range(500):
+            # Ticks 0-30 s apart (repeats included), N_Tar a random walk.
+            now += float(rng.choice([0.0, 10.0, float(rng.uniform(0, 30))]))
+            n_tar = int(rng.integers(1, 12))
+            assert policy._predicted_target(obs(now=now, n_tar=n_tar)) == reference(
+                history, now, n_tar
+            )
+
 
 class TestSpotServe:
     def test_single_zone_pinned(self):

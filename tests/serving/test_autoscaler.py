@@ -47,6 +47,43 @@ class TestCandidate:
         assert scaler.request_rate(1000.0) == 0.0
 
 
+class TestWindowMemory:
+    def test_fixed_target_window_stays_bounded(self):
+        """Nothing reads the window under ``fixed_target``, so appends
+        prune it: it never holds more than one window of arrivals."""
+        import numpy as np
+
+        scaler = Autoscaler(config(fixed_target=4, qps_window=60.0))
+        times = np.sort(np.random.default_rng(3).uniform(0.0, 36_000.0, 100_000))
+        largest = 0
+        for t in times:
+            scaler.record_request(float(t))
+            largest = max(largest, len(scaler._arrivals))
+            scaler.evaluate(float(t))
+        in_any_window = int(np.max(np.searchsorted(times, times, side="right")
+                                   - np.searchsorted(times, times - 60.0)))
+        assert largest <= in_any_window < 300
+        now = float(times[-1])
+        expected = int(np.count_nonzero(times >= now - 60.0))
+        assert len(scaler._arrivals) == expected
+        assert scaler.request_rate(now) == expected / 60.0
+
+    def test_late_arrivals_counted_like_timely_ones(self):
+        """Arrivals recorded out of time order (a controller's skipped
+        retry polls) count exactly as if recorded when they happened."""
+        import numpy as np
+
+        times = np.random.default_rng(4).uniform(0.0, 600.0, 2_000)
+        scaler = Autoscaler(config(qps_window=60.0))
+        now = 0.0
+        for end in range(50, 2_001, 50):
+            recorded = times[:end]
+            now = max(now, float(recorded[-50:].max()))
+            scaler.record_requests([float(t) for t in recorded[-50:]], now=now)
+            brute = int(np.count_nonzero(recorded >= now - 60.0))
+            assert scaler.request_rate(now) == brute / 60.0
+
+
 class TestWarmUpRate:
     """During warm-up (now < qps_window) the divisor is the elapsed
     time — dividing by the full window underestimated R_t and delayed

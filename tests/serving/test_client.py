@@ -289,6 +289,96 @@ class TestBackoffRetries:
         assert run() == run()
 
 
+class TestParkedRetries:
+    """A fixed-interval request that finds no ready replica parks: it
+    holds no engine event until a replica is ready, yet every number a
+    polling client would produce stays the same."""
+
+    TIMES = [float(i) for i in range(20)]
+
+    def outage(self, timeout, **client_kwargs):
+        # The controller never starts, so no replica is ever ready.
+        engine, controller, _ = build(
+            [[0] * 60, [0] * 60], workload_at(self.TIMES), timeout=timeout
+        )
+        client = ServiceClient(controller, workload_at(self.TIMES), **client_kwargs)
+        client.start()
+        return engine, controller, client
+
+    @pytest.mark.parametrize("timeout", [20.0, 50.0, 100.0])
+    def test_parked_request_costs_arrival_and_deadline_only(self, timeout):
+        engine, _, client = self.outage(timeout)
+        engine.run_until(400.0)
+        # Polling every 2 s cost 520 events at a 50 s timeout, 1020 at 100 s.
+        assert engine.events_processed == 2 * len(self.TIMES)
+        assert engine.pending_events == 0
+        assert client.stats().failed == len(self.TIMES)
+
+    def test_skipped_polls_fill_the_request_window(self):
+        engine, controller, _ = self.outage(100.0)
+        engine.run_until(60.0)
+        # What polling at arrival, +2, +4, ... would have recorded by t=60.
+        polls = [t + 2.0 * k for t in self.TIMES for k in range(31) if t + 2.0 * k <= 60.0]
+        assert controller.autoscaler.request_rate(60.0) == len(polls) / 60.0
+
+    def test_wake_on_grid_point_equal_to_ready_time(self):
+        """A replica is ready at exactly t=60, from an event scheduled at
+        launch (more than one retry interval earlier).  The poll due at
+        60 was scheduled at 58, after that event, so it fires after the
+        replica is ready: the parked request routes at t=60 itself."""
+        engine, controller, client = build(full_rows(), workload_at([50.0]), timeout=90.0)
+        routes = []
+        original = controller.route
+
+        def tracking_route(request):
+            replica = original(request)
+            routes.append((engine.now, replica))
+            return replica
+
+        controller.route = tracking_route
+        controller.start()
+        client.start()
+        engine.run_until(300.0)
+        (first, missed), (woken, replica) = routes
+        assert (first, missed) == (50.0, None)
+        assert replica is not None and woken == replica.ready_at == 60.0
+        assert client.stats().completed == 1
+
+    def test_tie_rule_for_polls_due_now(self):
+        """A poll due at the current time has fired iff it was scheduled
+        (at the previous grid point) before the running event was."""
+        from repro.serving.client import _ParkedRequest
+
+        _, _, client = self.outage(100.0)
+        request = Request(0, 50.0, 10, 10)
+        fired_first = _ParkedRequest(client, request, 150.0, 50.0)
+        assert fired_first.skipped_polls(60.0, 58.5) == [52.0, 54.0, 56.0, 58.0, 60.0]
+        for scheduled_at in (58.0, 30.0):
+            fires_after = _ParkedRequest(client, request, 150.0, 50.0)
+            assert fires_after.skipped_polls(60.0, scheduled_at) == [52.0, 54.0, 56.0, 58.0]
+            assert fires_after.last == 58.0
+        # No poll is due at or after the deadline.
+        assert _ParkedRequest(client, request, 55.0, 50.0).skipped_polls(60.0, 0.0) == [
+            52.0,
+            54.0,
+        ]
+
+    def test_retry_policy_keeps_polling(self):
+        """Backoff draws jitter from the shared RNG on every poll, so a
+        RetryPolicy client polls as before: same events, same draws."""
+        counts = {}
+        for timeout, draw in [(50.0, 0.14362144311335512), (100.0, 0.1439302392509284)]:
+            rng = np.random.default_rng(11)
+            engine, _, client = self.outage(
+                timeout, backoff=RetryPolicy(jitter=0.2), rng=rng
+            )
+            engine.run_until(400.0)
+            counts[timeout] = engine.events_processed
+            assert float(rng.random()) == draw
+            assert client.stats().failed == len(self.TIMES)
+        assert counts == {50.0: 120, 100.0: 160}
+
+
 class TestValidation:
     def test_double_start_rejected(self):
         engine, controller, client = build(full_rows(), workload_at([1.0]))

@@ -111,6 +111,38 @@ class TestReconciliation:
             controller.start()
 
 
+class TestReadySet:
+    def test_ready_list_tracks_every_state_change(self):
+        """The incrementally kept ready list equals a fresh scan of the
+        fleet after every event of a run with preemptions, launch
+        failures, probes and scale-down drains."""
+        from repro.serving import ServiceClient
+        from repro.workloads import poisson_workload
+
+        rng = np.random.default_rng(8)
+        rows = (rng.random((len(ZONES), 120)) < 0.7).astype(int) * 3
+        spec = ServiceSpec(
+            replica_policy=ReplicaPolicyConfig(
+                target_qps_per_replica=0.2, min_replicas=1, max_replicas=6,
+                upscale_delay=60.0, downscale_delay=120.0,
+            ),
+            resources=ResourceSpec(
+                accelerator="V100", any_of=(DomainFilter(cloud="aws", region="us-west-2"),)
+            ),
+        )
+        engine, cloud, controller = build(rows, spec=spec)
+        controller.probe_interval = 30.0
+        ServiceClient(controller, poisson_workload(7200.0, rate=0.6, seed=8)).start()
+        controller.start()
+        drained = []
+        while engine.step() and engine.now < 7200.0:
+            scan = [r for r in controller.replicas if r.is_ready and not r.draining]
+            assert controller.ready_replicas() == scan
+            drained += [r.id for r in controller.replicas if r.draining]
+        assert controller.preemption_count.value > 0
+        assert drained
+
+
 class TestMetricsSeries:
     def test_ready_series_recorded(self):
         engine, cloud, controller = build(full_capacity())

@@ -180,6 +180,28 @@ class TestNestedScheduling:
         assert seen == [1.0]
 
 
+class TestScheduledAt:
+    def test_running_event_reports_when_it_was_scheduled(self):
+        engine = SimulationEngine()
+        seen = []
+        engine.call_at(2.0, lambda: engine.call_after(3.0, lambda: seen.append(
+            (engine.now, engine.current_scheduled_at))))
+        engine.call_at(5.0, lambda: seen.append((engine.now, engine.current_scheduled_at)))
+        engine.run()
+        # Both fire at t=5; the one scheduled at t=0 runs first.
+        assert seen == [(5.0, 0.0), (5.0, 2.0)]
+
+    def test_before_and_after_running(self):
+        engine = SimulationEngine()
+        assert engine.current_scheduled_at == float("-inf")
+        engine.call_at(1.0, lambda: None)
+        engine.step()
+        assert engine.current_scheduled_at == 0.0
+        # run_until has fired every event due by its end time.
+        engine.run_until(4.0)
+        assert engine.current_scheduled_at == float("inf")
+
+
 class TestPendingCounter:
     """pending_events is a live O(1) counter — every schedule/cancel/fire
     path must keep it exact (PR 2 replaced the O(n) heap walk)."""
@@ -252,9 +274,9 @@ class TestPendingCounter:
         for handle in handles[::3]:
             handle.cancel()
         expected = sum(
-            1 for e in engine._queue if not e.cancelled
+            1 for _, _, e in engine._queue if not e.cancelled
         )
         assert engine.pending_events == expected
         engine.run_until(9.5)
-        expected = sum(1 for e in engine._queue if not e.cancelled)
+        expected = sum(1 for _, _, e in engine._queue if not e.cancelled)
         assert engine.pending_events == expected
