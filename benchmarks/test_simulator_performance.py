@@ -446,6 +446,41 @@ def test_comparison_throughput(benchmark):
     assert requests == 4 * len(workload)
 
 
+def test_chaos_matrix_throughput(benchmark):
+    """The chaos scorecard on the hybrid engine: ``run_matrix`` over a
+    six-hour AWS 1 window, every bundled scenario plus the fault-free
+    baseline × four policies, caches off.  Capacity blackouts keep the
+    spot target unmet for hours, so most steps run (and fail) the
+    launch loop — the shortage-cycle skip is what this entry gates."""
+    from repro.chaos import builtin_scenario, list_builtin, run_matrix
+    from repro.cloud import HOUR, aws1
+
+    trace = aws1().window(0.0, 6 * HOUR, name="aws1 [6h]")
+    scenarios = [builtin_scenario(name) for name in list_builtin()]
+    policies = ("SpotHedge", "EvenSpread", "RoundRobin", "OnDemand")
+
+    def run():
+        return run_matrix(trace, scenarios, policies, seed=1, workers=1,
+                          use_cache=False, engine="hybrid")
+
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        card = run()
+        times.append(time.perf_counter() - start)
+    cells = (len(scenarios) + 1) * len(policies)
+    steps = cells * trace.n_steps
+    steps_per_second = steps / min(times)
+    print(f"\nchaos matrix: {min(times) * 1e3:.1f}ms for {cells} cells of "
+          f"{trace.n_steps} steps ({steps_per_second:,.0f} steps/s)")
+    record_baseline(
+        "chaos_matrix", seconds=min(times), steps=steps,
+        steps_per_second=steps_per_second,
+    )
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    assert len(card.scores) + len(card.baselines) == cells
+
+
 def _sweep_point(n_tar, cold_start, trace=None):
     replayer = TraceReplayer(trace, ReplayConfig(n_tar=n_tar, cold_start=cold_start))
     result = replayer.run(spothedge(ZONES))

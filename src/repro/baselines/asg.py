@@ -12,7 +12,7 @@ the on-demand pool is not grown (→ overload, the 36% failure rate of
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Mapping, Optional, Sequence
+from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
 
 from repro.core.placement import EvenSpreadPlacer
 from repro.serving.policy import MixTarget, Observation, ServingPolicy
@@ -54,6 +54,9 @@ class ASGPolicy(ServingPolicy):
         od = min(od, total)
         self.placer.set_target(total - od)
         return MixTarget(spot_target=total - od, od_target=od)
+
+    def decision_state(self) -> Optional[Hashable]:
+        return self.placer.decision_state()
 
     def select_spot_zone(
         self, obs: Observation, excluded: AbstractSet[str] = frozenset()

@@ -14,7 +14,7 @@ documents are reproduced by construction:
 
 from __future__ import annotations
 
-from typing import AbstractSet, Mapping, Optional, Sequence
+from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
 
 from repro.core.placement import EvenSpreadPlacer
 from repro.serving.policy import MixTarget, Observation, ServingPolicy
@@ -50,6 +50,9 @@ class AWSSpotPolicy(ServingPolicy):
             od_target=0,
             count_provisioning_spot=False,
         )
+
+    def decision_state(self) -> Optional[Hashable]:
+        return self.placer.decision_state()
 
     def select_spot_zone(
         self, obs: Observation, excluded: AbstractSet[str] = frozenset()

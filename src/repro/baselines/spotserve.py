@@ -22,7 +22,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, Hashable, Optional, Sequence
 
 from repro.serving.policy import MixTarget, Observation, ServingPolicy
 from repro.serving.spec import ReplicaPolicyConfig, ResourceSpec, ServiceSpec
@@ -42,6 +42,9 @@ class SingleZonePolicy(ServingPolicy):
 
     def target_mix(self, obs: Observation) -> MixTarget:
         return MixTarget(spot_target=obs.n_tar, od_target=0)
+
+    def decision_state(self) -> Optional[Hashable]:
+        return ()
 
     def select_spot_zone(
         self, obs: Observation, excluded: AbstractSet[str] = frozenset()

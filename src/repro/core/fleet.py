@@ -85,8 +85,11 @@ class FleetMixturePolicy(MixturePolicy):
             pool: float(pool_weights.get(pool, 1.0)) for pool in self._pool_order
         }
         for pool, weight in self._weights.items():
-            if weight <= 0:
-                raise ValueError(f"pool {pool}: non-positive capacity weight")
+            if not 0 < weight < math.inf:
+                raise ValueError(
+                    f"pool {pool}: capacity weight must be positive and "
+                    f"finite, got {weight}"
+                )
         self._uniform = all(w == 1.0 for w in self._weights.values())
         self._min_weight = min(self._weights.values())
 

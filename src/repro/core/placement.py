@@ -26,7 +26,7 @@ ordering on simulated zone processes.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, AbstractSet, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Hashable, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.telemetry.audit import PolicyAuditLog
@@ -84,6 +84,11 @@ class SpotPlacer(abc.ABC):
         a no-op.
         """
 
+    def decision_state(self) -> Optional[Hashable]:
+        """The mutable state ``select_zone`` reads, or ``None`` when
+        unknown (see :meth:`ServingPolicy.decision_state`)."""
+        return None
+
     def handle_preemption(self, zone: str) -> None:
         """A replica was preempted in ``zone``."""
 
@@ -110,6 +115,9 @@ class DynamicSpotPlacer(SpotPlacer):
         self.active_zones: list[str] = list(self.zones)  # Z_A
         self.preempting_zones: list[str] = []  # Z_P
         self._failure_is_preemption = treat_launch_failure_as_preemption
+
+    def decision_state(self) -> Optional[Hashable]:
+        return (tuple(self.active_zones), tuple(self.preempting_zones))
 
     # -- Alg. 1 state maintenance --------------------------------------
     def _move_to_preempting(self, zone: str) -> None:
@@ -255,6 +263,9 @@ class EvenSpreadPlacer(SpotPlacer):
             raise ValueError(f"negative target {n}")
         self._target = n
 
+    def decision_state(self) -> Optional[Hashable]:
+        return self._target
+
     def quotas(self) -> dict[str, int]:
         """Fixed per-zone replica quotas for the current target."""
         counts = {z: 0 for z in self.zones}
@@ -293,16 +304,21 @@ class RoundRobinPlacer(SpotPlacer):
         self, zones: Sequence[str], zone_costs: Optional[Mapping[str, float]] = None
     ) -> None:
         super().__init__(zones, zone_costs)
+        #: Index of the next zone to try, kept modulo ``len(zones)``.
         self._next = 0
+
+    def decision_state(self) -> Optional[Hashable]:
+        return self._next
 
     def select_zone(
         self,
         current_placements: Mapping[str, int],
         excluded: AbstractSet[str] = frozenset(),
     ) -> Optional[str]:
-        for _ in range(len(self.zones)):
-            zone = self.zones[self._next % len(self.zones)]
-            self._next += 1
+        n = len(self.zones)
+        for _ in range(n):
+            zone = self.zones[self._next]
+            self._next = (self._next + 1) % n
             if zone not in excluded:
                 return zone
         return None

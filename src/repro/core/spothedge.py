@@ -24,7 +24,7 @@ N_Tar, and scales them down once spot capacity returns.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, AbstractSet, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Hashable, Mapping, Optional, Sequence
 
 from repro.core.placement import (
     DynamicSpotPlacer,
@@ -61,6 +61,9 @@ class OnDemandOnlyPolicy(ServingPolicy):
 
     def target_mix(self, obs: Observation) -> MixTarget:
         return MixTarget(spot_target=0, od_target=obs.n_tar)
+
+    def decision_state(self) -> Optional[Hashable]:
+        return ()
 
     def select_spot_zone(
         self, obs: Observation, excluded: AbstractSet[str] = frozenset()
@@ -184,6 +187,11 @@ class MixturePolicy(ServingPolicy):
             candidates,
             key=lambda z: (self._od_zone_costs.get(z, 1.0), self.od_zones.index(z)),
         )
+
+    def decision_state(self) -> Optional[Hashable]:
+        # _mix_cache only interns; _last_mix is read only with an audit
+        # log attached.  The placer holds the rest.
+        return self.placer.decision_state()
 
     # ------------------------------------------------------------------
     # Feedback to the placer

@@ -12,8 +12,9 @@ directions:
   its declared ``stationary_state`` whitelist, or a module-global
   write.  Reachability walks the call graph from the decision surface
   (``target_mix`` fully; ``select_*_zone`` for temporal checks only —
-  the engine counts every launch-loop entry as activity, so per-call
-  mutation there cannot leak across a fast-forwarded window), skips
+  quiescent windows never contain a launch-loop entry, and stuck
+  launch-loop steps are skipped only in whole ``decision_state``
+  cycles, which return every such mutation to where it started), skips
   statements guarded by ``if self.audit is not None`` (the fastpath
   additionally requires ``audit is None``), and never descends into
   ``telemetry/`` (the sanctioned observability seam).

@@ -80,6 +80,7 @@ THROUGHPUT_FIELDS: dict[str, str] = {
     "batched_inference": "requests_per_second",
     "latency_estimation": "requests_per_second",
     "comparison": "requests_per_second",
+    "chaos_matrix": "steps_per_second",
 }
 
 

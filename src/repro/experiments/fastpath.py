@@ -56,12 +56,22 @@ traces, policies and chaos overlays.  Because results are engine-
 independent, :class:`~repro.experiments.results.ReplayCache` keys do
 not include the engine.
 
-Known caveat: under sustained capacity shortage (total capacity below
-the spot target) the launch loop runs — and fails — every step, so
-every step is a churn step and the hybrid engine converges to the
-array stepper's per-step speed.  Fast-forwarding through that regime
-would require proving the policy/placer state cycles, which is
-deliberately out of scope.
+Capacity shortage (total capacity below the spot target) makes every
+step run the launch loop.  A *stuck* step is one whose attempts all
+fail (or whose policy holds off): the fleet does not change and only
+the policy's state moves.  Within a run of stuck steps each step is a
+function of :meth:`~repro.serving.policy.ServingPolicy.decision_state`
+alone, so once that state repeats, the steps since its first
+occurrence form a cycle that repeats exactly while every zone the
+cycle tries stays full.  The engine skips whole cycles up to the
+earliest of: the next pending-readiness bucket, the next capacity
+crossing below an occupied zone's count, the next capacity rise above
+the count of a zone the cycle tries (a cached ``capacity > count``
+twin of the crossing index), or the horizon.  Launch failures grow by
+the cycle's count per cycle, the series and costs reuse the quiescent
+fill and fold, and each skipped step's ``ReplicaLaunchFailed`` events
+are emitted in order.  A policy whose ``decision_state()`` is ``None``
+is stepped.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ from bisect import insort
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -117,7 +127,8 @@ def bucket_step(ready_at: float, step: float) -> int:
 
 
 def supports_fluid(policy: ServingPolicy) -> bool:
-    """Whether quiescent windows may be fast-forwarded for ``policy``.
+    """Whether quiescent windows and shortage cycles may be
+    fast-forwarded for ``policy``.
 
     Requires the policy's stationarity declaration *and* no attached
     audit log — ``PolicyAuditLog.touch`` keys on ``obs.now``, so an
@@ -225,7 +236,72 @@ def run_fastpath(
         pos = int(np.searchsorted(arr, after))
         return int(arr[pos]) if pos < len(arr) else n_steps
 
+    # Its twin: (zone_idx, count) -> steps where capacity exceeds
+    # ``count``, i.e. where a launch into that zone would succeed.
+    above_cache: dict[tuple[int, int], np.ndarray] = {}
+
+    def next_rise(zi: int, count: int, after: int) -> int:
+        key = (zi, count)
+        arr = above_cache.get(key)
+        if arr is None:
+            arr = np.flatnonzero(caps_np[zi] > count)
+            above_cache[key] = arr
+        pos = int(np.searchsorted(arr, after))
+        return int(arr[pos]) if pos < len(arr) else n_steps
+
+    def boundary(after: int) -> int:
+        """First step at or after ``after`` where a pending replica
+        becomes ready or an occupied zone's capacity drops below its
+        count, capped at the horizon."""
+        nxt = bucket_heap[0] if bucket_heap else n_steps
+        if pending_od:
+            od_bucket = bucket_step(pending_od[0].ready_at, step)
+            if od_bucket < nxt:
+                nxt = od_bucket
+        for zi in range(n_zones):
+            count = sizes[zi]
+            if count:
+                crossing = next_crossing(zi, count, after)
+                if crossing < nxt:
+                    nxt = crossing
+        return min(nxt, n_steps)
+
     hours = step / 3600.0
+
+    def fast_forward(
+        lo: int, hi: int, total_ready: int, spot_cost: float, od_cost: float
+    ) -> tuple[float, float]:
+        """Fill steps ``lo..hi-1`` of a window in which the fleet does
+        not change, and return both costs advanced across it."""
+        width = hi - lo
+        n_od = len(od)
+        ready_series[lo:hi] = total_ready
+        od_series[lo:hi] = n_od
+        # Seeded sequential accumulate: buf[0] carries the running
+        # total and np.add.accumulate applies the per-step adds in
+        # order — the exact float left fold of the discrete loop.
+        buf = np.empty(width + 1)
+        if price_np is not None:
+            contrib = np.zeros(width)
+            for i in range(n_zones):
+                if sizes[i]:
+                    contrib = contrib + sizes[i] * price_np[i][lo:hi]
+            buf[1:] = contrib * hours
+        elif multipliers:
+            buf[1:] = (
+                sum(sizes[i] * mult_by_zone[i] for i in range(n_zones) if sizes[i])
+                * hours
+            )
+        else:
+            buf[1:] = sum(sizes) * hours
+        buf[0] = spot_cost
+        np.add.accumulate(buf, out=buf)
+        spot_cost = float(buf[-1])
+        buf[0] = od_cost
+        buf[1:] = n_od * cfg.k * hours
+        np.add.accumulate(buf, out=buf)
+        return spot_cost, float(buf[-1])
+
     preemptions = 0
     launch_failures = 0
     spot_cost = 0.0
@@ -240,8 +316,14 @@ def run_fastpath(
     on_launch_failed = policy.on_spot_launch_failed
     target_mix = policy.target_mix
     select_spot_zone = policy.select_spot_zone
+    decision_state = policy.decision_state
     n_tar = cfg.n_tar
     max_attempts = cfg.max_launch_attempts_per_step
+
+    # The current stuck run: decision state after each stuck step ->
+    # its index in ``run_failed``, the zones each step failed in order.
+    run_index: dict[Hashable, int] = {}
+    run_failed: list[list[str]] = []
 
     prof_clock = profiler.clock
     fluid_time = 0.0
@@ -261,7 +343,9 @@ def run_fastpath(
         bus_enabled = bus.enabled
         if chaos_cs is not None:
             d = base_d * chaos_cs[k]
-        activity = False
+        # Whether the fleet changed this step (promotion, preemption,
+        # launch, scale-down or on-demand change).
+        churn = False
 
         # 0. Promote pending replicas whose ready step has arrived.
         # Bucket pops replace the oracle's queue polling; entries whose
@@ -274,13 +358,13 @@ def run_fastpath(
                 if pos < n_i and ids_i[pos] == rid and not z_ready[zi][pos]:
                     z_ready[zi][pos] = True
                     spot_ready += 1
-                    activity = True
+                    churn = True
         while pending_od and pending_od[0].ready_at <= now:
             inst = pop_od()
             if inst.alive:
                 inst.ready = True
                 od_ready += 1
-                activity = True
+                churn = True
 
         # 1. Preemptions from capacity - count row math; victim subsets
         # drawn by the identical partial Fisher–Yates procedure (and
@@ -292,7 +376,7 @@ def run_fastpath(
             excess = count - caps_list[zi][k]
             if excess <= 0:
                 continue
-            activity = True
+            churn = True
             ids_i = z_ids[zi]
             rd_i = z_ready[zi]
             if excess >= count:
@@ -339,15 +423,14 @@ def run_fastpath(
 
         # 3. Reconcile the spot fleet — the loop is line-for-line the
         # oracle's, over array state.  Entering it at all (even for a
-        # fruitless attempt) counts as activity: selection may mutate
-        # placer state (e.g. round-robin rotation), so skipped steps
-        # must be steps where the oracle would not have called it.
+        # fruitless attempt) rules out a quiescent window: selection may
+        # mutate placer state (e.g. round-robin rotation), so only the
+        # cycle rule below may skip such steps.
         spot_target = mix.spot_target
         counted = spot_total if mix.count_provisioning_spot else ready_spot_obs
-        if counted < spot_target:
-            activity = True
+        launching = counted < spot_target
         attempts = 0
-        failed_zones: set[str] = set()
+        failed: list[str] = []
         excluded = _EMPTY_FROZENSET
         obs_now: Optional[Observation] = obs
         while counted < spot_target and attempts < max_attempts:
@@ -391,6 +474,7 @@ def run_fastpath(
                         bucket.append((zi, next_id))
                 sizes[zi] = n_i + 1
                 spot_total += 1
+                churn = True
                 if bus_enabled:
                     bus.emit(ReplicaLaunch(now, next_id, zone, True))
                 on_ready(zone)
@@ -398,13 +482,13 @@ def run_fastpath(
                 obs_now = None
             else:
                 launch_failures += 1
-                failed_zones.add(zone)
-                excluded = frozenset(failed_zones)
+                failed.append(zone)
+                excluded = frozenset(failed)
                 if bus_enabled:
                     bus.emit(ReplicaLaunchFailed(now, -1, zone, True))
                 on_launch_failed(zone)
         while spot_total > spot_target:
-            activity = True
+            churn = True
             # Scale down the unique max of (ready_at, id); ids ascend
             # within a zone, so the last occurrence of the zone's max
             # ready_at is its (ready_at, id) maximum.
@@ -436,7 +520,7 @@ def run_fastpath(
 
         # 4. Reconcile the on-demand fleet (oracle code, shared types).
         while len(od) < mix.od_target:
-            activity = True
+            churn = True
             inst = _ReplayInstance(zone=None, spot=False, ready_at=now + d)
             od.append(inst)
             if d <= 0:
@@ -445,7 +529,7 @@ def run_fastpath(
             else:
                 push_od(inst)
         while len(od) > mix.od_target:
-            activity = True
+            churn = True
             victim = od.pop()
             victim.alive = False
             if victim.ready:
@@ -473,62 +557,62 @@ def run_fastpath(
         ready_series[k] = total_ready
         od_series[k] = len(od)
 
-        if activity or not fluid_ok:
+        if churn or not fluid_ok:
+            if run_failed:
+                run_index, run_failed = {}, []
             k += 1
             continue
 
-        # Quiescent window: this step completed with zero fleet
-        # activity under a stationary policy, so every step until the
-        # next pending-readiness bucket or capacity crossing repeats
-        # the same no-op decision — fast-forward it in closed form.
-        nxt = bucket_heap[0] if bucket_heap else n_steps
-        if pending_od:
-            od_bucket = bucket_step(pending_od[0].ready_at, step)
-            if od_bucket < nxt:
-                nxt = od_bucket
-        for zi in range(n_zones):
-            count = sizes[zi]
-            if count:
-                crossing = next_crossing(zi, count, k + 1)
-                if crossing < nxt:
-                    nxt = crossing
-        if nxt > n_steps:
-            nxt = n_steps
-        if nxt <= k + 1:
+        if launching:
+            # Stuck step: every launch attempt failed, so only the
+            # policy's state moved.  Once it repeats, the steps since
+            # its first occurrence form a cycle that later steps repeat
+            # until a tried zone gains capacity or a window boundary.
+            key = decision_state()
+            first = run_index.get(key) if key is not None else None
+            if first is None:
+                if key is not None:
+                    run_index[key] = len(run_failed)
+                    run_failed.append(failed)
+                k += 1
+                continue
+            cycle = run_failed[first + 1 :] + [failed]
+            run_index, run_failed = {key: 0}, [failed]
+            nxt = boundary(k + 1)
+            tried = {zone_index[zone] for zones_tried in cycle for zone in zones_tried}
+            for zi in sorted(tried):
+                rise = next_rise(zi, sizes[zi], k + 1)
+                if rise < nxt:
+                    nxt = rise
+        else:
+            # Quiescent window: this step completed with zero fleet
+            # activity under a stationary policy, so every step until
+            # the next pending-readiness bucket or capacity crossing
+            # repeats the same no-op decision: a one-step cycle with no
+            # launch attempts.
+            if run_failed:
+                run_index, run_failed = {}, []
+            cycle = [[]]
+            nxt = boundary(k + 1)
+        period = len(cycle)
+        whole = (nxt - 1 - k) // period
+        if whole <= 0:
             k += 1
             continue
+        # Fast-forward whole cycles in closed form.
         t_fluid = prof_clock() if prof_enabled else 0.0
-        lo, hi = k + 1, nxt
-        width = hi - lo
-        ready_series[lo:hi] = total_ready
-        od_series[lo:hi] = len(od)
-        # Seeded sequential accumulate: buf[0] carries the running
-        # total and np.add.accumulate applies the per-step adds in
-        # order — the exact float left fold of the discrete loop.
-        buf = np.empty(width + 1)
-        if price_np is not None:
-            contrib = np.zeros(width)
-            for i in range(n_zones):
-                if sizes[i]:
-                    contrib = contrib + sizes[i] * price_np[i][lo:hi]
-            buf[1:] = contrib * hours
-        elif multipliers:
-            buf[1:] = (
-                sum(sizes[i] * mult_by_zone[i] for i in range(n_zones) if sizes[i])
-                * hours
-            )
-        else:
-            buf[1:] = spot_total * hours
-        buf[0] = spot_cost
-        np.add.accumulate(buf, out=buf)
-        spot_cost = float(buf[-1])
-        buf[0] = od_cost
-        buf[1:] = len(od) * cfg.k * hours
-        np.add.accumulate(buf, out=buf)
-        od_cost = float(buf[-1])
+        hi = k + 1 + whole * period
+        if launching:
+            launch_failures += whole * sum(len(zones_tried) for zones_tried in cycle)
+            if bus_enabled:
+                for skipped in range(k + 1, hi):
+                    skipped_now = skipped * step
+                    for zone in cycle[(skipped - k - 1) % period]:
+                        bus.emit(ReplicaLaunchFailed(skipped_now, -1, zone, True))
+        spot_cost, od_cost = fast_forward(k + 1, hi, total_ready, spot_cost, od_cost)
         if prof_enabled:
             fluid_time += prof_clock() - t_fluid
-        k = nxt
+        k = hi
 
     if prof_enabled:
         profiler.accumulate("replay.fastpath", prof_clock() - t_run)

@@ -124,14 +124,22 @@ class ReplayConfig:
             raise ValueError("non-positive cost ratio")
         if self.max_launch_attempts_per_step < 1:
             raise ValueError("need at least one launch attempt per step")
+        # The chained comparison is false for NaN as well as for
+        # non-positive and infinite values.
         if self.zone_price_multipliers is not None:
             for zone, multiplier in self.zone_price_multipliers.items():
-                if multiplier <= 0:
-                    raise ValueError(f"non-positive price multiplier for {zone}")
+                if not 0 < multiplier < math.inf:
+                    raise ValueError(
+                        f"price multiplier for {zone} must be positive and "
+                        f"finite, got {multiplier}"
+                    )
         if self.zone_capacity_weights is not None:
             for zone, weight in self.zone_capacity_weights.items():
-                if weight <= 0:
-                    raise ValueError(f"non-positive capacity weight for {zone}")
+                if not 0 < weight < math.inf:
+                    raise ValueError(
+                        f"capacity weight for {zone} must be positive and "
+                        f"finite, got {weight}"
+                    )
 
 
 def _ready_order(inst: "_ReplayInstance") -> tuple[float, int]:

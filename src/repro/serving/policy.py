@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, AbstractSet, Optional
+from typing import TYPE_CHECKING, AbstractSet, Hashable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.telemetry.audit import PolicyAuditLog
@@ -145,6 +145,19 @@ class ServingPolicy(abc.ABC):
         plentiful everywhere, §5.1 discussion).
         """
         return self.select_spot_zone(obs, excluded)
+
+    def decision_state(self) -> Optional[Hashable]:
+        """Everything mutable that this policy's decisions read.
+
+        Two instances of one stationary policy whose ``decision_state``
+        values are equal must make the same decisions for the same
+        observations and lifecycle feedback from then on.  The hybrid
+        replay engine keys capacity-shortage steps on it to find
+        decision cycles it can skip whole.  The default, ``None``,
+        means "unknown": the engine then consults the policy at every
+        step.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # Lifecycle feedback (drives Alg. 1 state in placers that track it)

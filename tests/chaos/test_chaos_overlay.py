@@ -134,6 +134,34 @@ class TestCompile:
         row = compiled.price_factors[trace.zone_ids[1]]
         assert row[1] == 1.0 and row[2] == 4.0 and row[5] == 4.0 and row[6] == 1.0
 
+    def test_factor_tuples_equal_per_element_floats(self):
+        # The compiled rows come from ``ndarray.tolist()``: the same
+        # Python floats, bit for bit, as converting element by element.
+        rows = [
+            np.array([0.1, 1 / 3, 5e-324, -0.0, 1e308, 2.5]),
+            np.random.default_rng(3).lognormal(size=257),
+        ]
+        for row in rows:
+            fast, slow = tuple(row.tolist()), tuple(float(f) for f in row)
+            assert [f.hex() for f in fast] == [f.hex() for f in slow]
+            assert all(type(f) is float for f in fast)
+        trace = constant_trace(n_zones=2, n_steps=40)
+        scenario = ScenarioSpec(
+            "both",
+            (
+                ColdStartSpike(start=STEP * 3, end=STEP * 9, factor=1.7),
+                PriceSurge(
+                    start=STEP, end=STEP * 30, zones=(trace.zone_ids[0],),
+                    multiplier=1.3,
+                ),
+            ),
+        )
+        compiled = compile_scenario(scenario, trace)
+        for factors in (compiled.cold_start_factors, *compiled.price_factors.values()):
+            assert all(type(f) is float for f in factors)
+            slow = tuple(float(f) for f in np.asarray(factors))
+            assert [f.hex() for f in factors] == [f.hex() for f in slow]
+
     def test_chaos_digest_separates_compiled_from_pristine(self):
         trace = constant_trace()
         pristine_digest = trace.digest()

@@ -1,5 +1,7 @@
 """Tests for the capacity-weighted fleet policy (zone × type pools)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,11 @@ class TestValidation:
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
             fleet_policy(pool_weights={"z1@small": 0.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="pool z1@small"):
+            fleet_policy(pool_weights={"z1@small": bad})
 
     def test_pool_weight_defaults_to_one(self):
         assert fleet_policy().pool_weight("unknown") == 1.0

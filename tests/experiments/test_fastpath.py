@@ -5,6 +5,8 @@ The contract under test: every engine produces *byte-identical*
 same RNG stream — the discrete loop stays the oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,19 +44,13 @@ def trace_with(rows, step=60.0, name="fastpath-test"):
 
 def assert_identical(ref, got):
     """Byte-identical ReplayResult comparison — no approx anywhere."""
-    assert got.policy == ref.policy
-    assert got.trace == ref.trace
-    assert got.n_tar == ref.n_tar
-    assert got.availability == ref.availability
-    assert got.relative_cost == ref.relative_cost
-    assert got.spot_cost == ref.spot_cost
-    assert got.od_cost == ref.od_cost
-    assert got.preemptions == ref.preemptions
-    assert got.launch_failures == ref.launch_failures
-    assert got.step == ref.step
-    assert got.ready_series.dtype == ref.ready_series.dtype
-    np.testing.assert_array_equal(got.ready_series, ref.ready_series)
-    np.testing.assert_array_equal(got.od_series, ref.od_series)
+    for field in dataclasses.fields(ref):
+        want, have = getattr(ref, field.name), getattr(got, field.name)
+        if isinstance(want, np.ndarray):
+            assert have.dtype == want.dtype, field.name
+            np.testing.assert_array_equal(have, want, err_msg=field.name)
+        else:
+            assert have == want, field.name
 
 
 def replay(trace, factory, engine, *, seed=3, config=None, **kwargs):
@@ -323,3 +319,113 @@ class TestStatefulReuse:
         first = replayer.run(spothedge(trace.zone_ids))
         second = replayer.run(spothedge(trace.zone_ids))
         assert_identical(first, second)
+
+
+class _OpaqueRoundRobin(MixturePolicy):
+    """Round Robin that does not expose its decision state."""
+
+    def __init__(self, zones):
+        from repro.core.placement import RoundRobinPlacer
+
+        super().__init__(RoundRobinPlacer(zones), name="OpaqueRoundRobin")
+
+    def decision_state(self):
+        return None
+
+
+SHORTAGE_ZONES = ["aws:r1:a", "aws:r1:b", "aws:r1:c"]
+
+SHORTAGE_POLICIES = {
+    "SpotHedge": spothedge,
+    "EvenSpread": even_spread_policy,
+    "RoundRobin": round_robin_policy,
+    "ASG": ASGPolicy,
+    "AWSSpot": AWSSpotPolicy,
+    "Opaque": _OpaqueRoundRobin,
+}
+
+
+def shortage_trace(window):
+    """Three zones with some capacity, then ``window`` steps with none
+    anywhere, then recovery."""
+    rows = [[2] * 30 + [0] * window + [3] * 30 for _ in SHORTAGE_ZONES]
+    return SpotTrace("shortage", SHORTAGE_ZONES, 60.0, np.asarray(rows))
+
+
+def count_selections(policy):
+    """Wrap ``policy.select_spot_zone`` with a call counter."""
+    calls = [0]
+    select = policy.select_spot_zone
+
+    def counted(obs, excluded=frozenset()):
+        calls[0] += 1
+        return select(obs, excluded)
+
+    policy.select_spot_zone = counted
+    return calls
+
+
+class TestShortageCycleSkip:
+    """Steps whose launches all fail are skipped a whole decision cycle
+    at a time, with results and events identical to the oracle."""
+
+    CONFIG = ReplayConfig(n_tar=4, cold_start=120.0)
+
+    #: ``select_spot_zone`` calls on the hybrid engine, independent of
+    #: the shortage window's length.
+    HYBRID_SELECTIONS = {
+        "ASG": 18,
+        "AWSSpot": 22,
+        "EvenSpread": 20,
+        "RoundRobin": 20,
+        "SpotHedge": 36,
+    }
+
+    def run(self, trace, name, engine):
+        sink = RingBufferSink(capacity=1_000_000)
+        policy = SHORTAGE_POLICIES[name](SHORTAGE_ZONES)
+        calls = count_selections(policy)
+        result = TraceReplayer(
+            trace, self.CONFIG, seed=7, engine=engine, telemetry=EventBus([sink])
+        ).run(policy)
+        return result, sink.events, calls[0]
+
+    @pytest.mark.parametrize("name", sorted(SHORTAGE_POLICIES))
+    def test_matches_discrete(self, name):
+        trace = shortage_trace(10_000)
+        ref, ref_events, _ = self.run(trace, name, "discrete")
+        assert ref.launch_failures > 10_000
+        engines = ["hybrid"] if name == "Opaque" else ["hybrid", "vectorized"]
+        for engine in engines:
+            got, events, _ = self.run(trace, engine=engine, name=name)
+            assert_identical(ref, got)
+            assert events == ref_events
+
+    @pytest.mark.parametrize("name", sorted(HYBRID_SELECTIONS))
+    def test_work_does_not_grow_with_the_window(self, name):
+        for window in (10_000, 20_000):
+            _, _, calls = self.run(shortage_trace(window), name, "hybrid")
+            assert calls == self.HYBRID_SELECTIONS[name]
+        # The oracle asks once per zone per shortage step.
+        _, _, calls = self.run(shortage_trace(10_000), name, "discrete")
+        assert calls > 3 * 10_000
+
+    def test_unknown_state_is_stepped(self):
+        # decision_state() is None: the engine cannot prove a cycle, so
+        # it consults the policy at every shortage step.
+        short = self.run(shortage_trace(10_000), "Opaque", "hybrid")[2]
+        long = self.run(shortage_trace(20_000), "Opaque", "hybrid")[2]
+        assert long - short == 4 * 10_000
+
+    def test_skip_stops_where_capacity_returns_mid_window(self):
+        # A one-step blip in the middle of the window must land on its
+        # own step, not inside a skipped cycle.
+        trace = shortage_trace(5_000)
+        rows = np.asarray(trace.capacity).copy()
+        rows[1, 2_517] = 1
+        trace = SpotTrace("shortage-blip", SHORTAGE_ZONES, 60.0, rows)
+        for name in ("SpotHedge", "RoundRobin", "AWSSpot"):
+            ref, ref_events, _ = self.run(trace, name, "discrete")
+            got, events, _ = self.run(trace, name, "hybrid")
+            assert_identical(ref, got)
+            assert events == ref_events

@@ -197,3 +197,21 @@ class TestCapacityWeights:
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
             ReplayConfig(n_tar=2, zone_capacity_weights={Z1: 0.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"capacity weight for {Z1}"):
+            ReplayConfig(n_tar=2, zone_capacity_weights={Z1: bad, Z2: 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_multiplier_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"price multiplier for {Z2}"):
+            ReplayConfig(n_tar=2, zone_price_multipliers={Z1: 1.0, Z2: bad})
+
+    def test_nan_and_inf_together_rejected(self):
+        # The combination that used to construct silently.
+        with pytest.raises(ValueError, match="price multiplier for a"):
+            ReplayConfig(
+                zone_price_multipliers={"a": math.nan},
+                zone_capacity_weights={"a": math.inf},
+            )

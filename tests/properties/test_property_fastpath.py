@@ -52,6 +52,65 @@ def quiet_traces(draw):
     return SpotTrace("prop-quiet", ZONES, 60.0, np.asarray(rows))
 
 
+@st.composite
+def shortage_traces(draw):
+    """A random lead-in, then a long window whose total capacity stays
+    below the spot target (with a few one-step blips), then a random
+    tail — the regime where the hybrid engine skips decision cycles.
+    Returns ``(trace, n_tar)``."""
+    n_tar = draw(st.integers(1, 6))
+    window = draw(st.integers(min_value=50, max_value=1500))
+    lead = draw(st.integers(min_value=0, max_value=20))
+    tail = draw(st.integers(min_value=0, max_value=20))
+    # Per-zone shortage levels summing to less than n_tar.
+    levels = [0] * len(ZONES)
+    budget = n_tar - 1
+    for i in range(len(ZONES)):
+        levels[i] = draw(st.integers(0, budget))
+        budget -= levels[i]
+    rows = []
+    for level in levels:
+        head = draw(st.lists(st.integers(0, 8), min_size=lead, max_size=lead))
+        end = draw(st.lists(st.integers(0, 8), min_size=tail, max_size=tail))
+        rows.append(head + [level] * window + end)
+    blips = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(ZONES) - 1),
+                st.integers(0, window - 1),
+                st.integers(0, 8),
+            ),
+            max_size=4,
+        )
+    )
+    for zone, at, cap in blips:
+        rows[zone][lead + at] = cap
+    return SpotTrace("prop-shortage", ZONES, 60.0, np.asarray(rows)), n_tar
+
+
+@st.composite
+def piecewise_overlays(draw, trace):
+    """Chaos factor rows that are piecewise constant, so they stay
+    cheap to draw on long traces."""
+    n = trace.n_steps
+
+    def row(lo, hi):
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=3)))
+        values = draw(
+            st.lists(st.floats(lo, hi), min_size=len(cuts) + 1, max_size=len(cuts) + 1)
+        )
+        out = []
+        for value, start, stop in zip(values, [0] + cuts, cuts + [n]):
+            out.extend([value] * (stop - start))
+        return out
+
+    cold = row(0.25, 4.0) if draw(st.booleans()) else None
+    prices = None
+    if draw(st.booleans()):
+        prices = {ZONES[0]: row(0.5, 3.0), ZONES[2]: row(0.5, 3.0)}
+    return cold, prices
+
+
 policy_factories = st.sampled_from(
     [spothedge, even_spread_policy, round_robin_policy, OnDemandOnlyPolicy]
 )
@@ -196,3 +255,21 @@ def test_rng_stream_consumption_identical(trace, factory, n_tar):
         fast = TraceReplayer(trace, config, seed=4, engine=engine)
         fast.run(factory(ZONES))
         assert ref._rng.bit_generator.state == fast._rng.bit_generator.state
+
+
+@given(st.data(), policy_factories, st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_engines_byte_identical_shortage_windows(data, factory, seed):
+    # Long windows with total capacity below the spot target: every
+    # step runs the launch loop and fails, so the hybrid engine skips
+    # whole decision cycles.  With and without chaos overlays.
+    trace, n_tar = data.draw(shortage_traces())
+    cold, prices = data.draw(piecewise_overlays(trace))
+    config = ReplayConfig(n_tar=n_tar, cold_start=120.0)
+    kwargs = dict(cold_start_factors=cold, zone_price_factors=prices)
+    ref = TraceReplayer(trace, config, seed=seed, **kwargs).run(factory(ZONES))
+    for engine in ("vectorized", "hybrid"):
+        got = TraceReplayer(
+            trace, config, seed=seed, engine=engine, **kwargs
+        ).run(factory(ZONES))
+        assert_identical(ref, got)
