@@ -143,11 +143,12 @@ def test_replay_throughput(benchmark):
 
 
 def test_vectorized_replay_throughput(benchmark):
-    """The numpy fastpath on the realistic week-long three-zone trace.
+    """The skipping engine on the realistic week-long three-zone trace.
 
-    Three pins: (1) the vectorized engine reproduces the discrete
-    oracle byte-for-byte on this trace (the property suite covers the
-    general case; this keeps the perf benchmark honest); (2) it clears
+    Three pins: (1) the vectorized engine (the replay step loop with
+    its skip rule on) reproduces the discrete reference byte-for-byte
+    on this trace (the property suite covers the general case; this
+    keeps the perf benchmark honest); (2) it clears
     1M steps/s in full mode — the million-user-scale sweep target
     (~2.9M on dev hardware, ~10x the discrete loop); (3) the number is
     recorded as ``replay_vectorized`` for the perfreg gate."""
@@ -191,8 +192,9 @@ def test_hetero_replay_throughput(benchmark):
 
     Expands the realistic trace into two GPU generations (6 pools),
     runs the fleet policy with effective-capacity tracking, and records
-    ``replay_hetero`` for the perfreg gate.  This path is pinned to the
-    discrete engine (the fastpath rejects capacity weights), so the
+    ``replay_hetero`` for the perfreg gate.  It runs the discrete
+    engine: every engine supports weights, but the fleet policy is not
+    stationary, so the hybrid engine would process every step too.  The
     floor protects the weighted per-step accounting from regressing."""
     from repro.cloud import PriceBook, hetero_catalog, make_hetero_trace
     from repro.cloud.gpus import (
@@ -248,7 +250,7 @@ def test_hetero_replay_throughput(benchmark):
 def test_hybrid_sweep_speedup(benchmark):
     """End-to-end ``grid_sweep`` with the hybrid engine vs discrete.
 
-    The sweep harness is the consumer the fastpath was built for: a
+    The sweep harness is the consumer the skipping engines were built for: a
     16-point (n_tar x cold_start) grid over the realistic week trace.
     Records ``hybrid_sweep`` (points/s, both engine timings, speedup)
     for the perfreg gate; asserts identical sweep results and a real

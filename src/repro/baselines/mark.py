@@ -37,7 +37,7 @@ class MArkPolicy(ServingPolicy):
     name = "MArk"
     respects_zone_cooldown = False
     # The sliding prediction window keys on obs.now — every call
-    # advances history, so the fastpath must consult it each step.
+    # advances history, so the replay must consult it each step.
     stationary_decisions = False
 
     def __init__(

@@ -265,10 +265,11 @@ def run_matrix(
     :class:`~repro.telemetry.events.SweepProgress` events.  Replay
     errors propagate (a broken matrix must not produce a scorecard).
 
-    ``engine`` selects the replay engine for every cell (the chaos
-    overlays' per-step cold-start/price factor rows feed the vectorized
-    data plane natively); scorecards are byte-identical across engines,
-    and cache entries are shared between them for the same reason.
+    ``engine`` selects the replay engine for every cell (every engine
+    runs the one replay step loop, which reads the chaos overlays'
+    per-step cold-start/price factor rows); scorecards are
+    byte-identical across engines, and cache entries are shared between
+    them for the same reason.
     """
     config = config or ReplayConfig()
     names = [s.name for s in scenarios]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Mapping, Optional
@@ -186,8 +187,11 @@ class ColdStartSpike(Injection):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.factor < 1.0:
-            raise ValueError(f"cold-start factor {self.factor} below 1.0")
+        # The chained comparison is false for NaN as well.
+        if not 1.0 <= self.factor < math.inf:
+            raise ValueError(
+                f"cold-start factor must be >= 1.0 and finite, got {self.factor}"
+            )
 
 
 @_register
@@ -233,8 +237,10 @@ class PriceSurge(Injection):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.multiplier <= 0:
-            raise ValueError(f"non-positive multiplier {self.multiplier!r}")
+        if not 0 < self.multiplier < math.inf:
+            raise ValueError(
+                f"price multiplier must be positive and finite, got {self.multiplier!r}"
+            )
 
 
 @_register

@@ -917,9 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(single policy only)")
     replay.add_argument("--json", help="also write raw results to this JSON file")
     replay.add_argument("--engine", choices=ENGINES, default="discrete",
-                        help="replay engine; vectorized/hybrid run the numpy "
-                             "fastpath with byte-identical results "
-                             "(default: discrete)")
+                        help="replay engine; vectorized/hybrid skip steps "
+                             "that provably repeat, with byte-identical "
+                             "results (default: discrete)")
     replay.set_defaults(func=_cmd_replay)
 
     sweep = sub.add_parser(

@@ -55,8 +55,7 @@ class FleetMixturePolicy(MixturePolicy):
     #: hypothetical launch; the placer protocol does not promise that
     #: probe is side-effect-free (RoundRobinPlacer advances a cursor),
     #: so this policy cannot claim the stationary-decisions contract
-    #: for arbitrary placers.  Heterogeneous replay runs on the
-    #: discrete engine anyway (the fastpath rejects capacity weights).
+    #: for arbitrary placers, and the hybrid engine steps it every step.
     stationary_decisions = False
 
     def __init__(

@@ -20,11 +20,14 @@ and scale-down selects its victim with a single max-scan instead of
 sorting the fleet per termination.  :func:`estimate_latency` is fully
 vectorised — O(steps + requests) instead of O(requests × steps).
 
-For sweeps at trace scale, :class:`TraceReplayer` accepts
-``engine="vectorized"`` or ``engine="hybrid"`` to dispatch to the
-numpy fluid/flow data plane in :mod:`repro.experiments.fastpath`,
-which is property-tested byte-identical to this discrete loop (the
-oracle) on every :class:`ReplayResult` field.
+One step loop serves every engine.  ``engine="discrete"`` processes
+every step — the reference.  ``engine="vectorized"``/``"hybrid"`` go
+through :func:`repro.experiments.fastpath.run_fastpath`, which runs the
+same loop with its skip rule on for policies that pass
+:func:`~repro.experiments.fastpath.supports_fluid`: steps that provably
+repeat one that left the fleet unchanged are skipped in closed form
+(see that module).  The skip is property-tested byte-identical to the
+reference on every :class:`ReplayResult` field.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, MutableSequence, Optional, Sequence
+from typing import Callable, Hashable, Mapping, MutableSequence, Optional, Sequence
 
 import numpy as np
 
 from repro.cloud.traces import SpotTrace
+from repro.experiments import fastpath
 from repro.serving.policy import Observation, ServingPolicy
 from repro.sim.rng import RngRegistry
 from repro.telemetry.events import (
@@ -64,12 +68,12 @@ __all__ = [
     "estimate_latency",
 ]
 
-#: Replay engines accepted by :class:`TraceReplayer`.  ``discrete`` is
-#: the per-instance oracle below; ``vectorized`` and ``hybrid`` run the
-#: numpy data plane in :mod:`repro.experiments.fastpath` (``vectorized``
-#: demands a fast-forwardable policy and raises otherwise, ``hybrid``
-#: degrades to exact per-step processing when it cannot skip).  All
-#: three produce byte-identical :class:`ReplayResult` objects.
+#: Replay engines accepted by :class:`TraceReplayer`.  ``discrete``
+#: processes every step; ``vectorized`` and ``hybrid`` skip what
+#: provably repeats (``vectorized`` demands a policy that passes
+#: ``supports_fluid`` and raises otherwise, ``hybrid`` processes every
+#: step when it cannot skip).  All three produce byte-identical
+#: :class:`ReplayResult` objects.
 ENGINES: tuple[str, ...] = ("discrete", "vectorized", "hybrid")
 
 logger = logging.getLogger(__name__)
@@ -111,21 +115,26 @@ class ReplayConfig:
     #: weighted ready capacity per step — and reports
     #: ``eff_availability``/``eff_ready_series``; zones absent from the
     #: mapping weigh 1.0.  ``None`` (the default) leaves the replay
-    #: loop byte-identical to the unweighted code.  Only the discrete
-    #: engine supports weights.
+    #: loop byte-identical to the unweighted code.  Every engine
+    #: supports weights: skipped steps repeat the last step's effective
+    #: capacity.
     zone_capacity_weights: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
         if self.n_tar < 1:
             raise ValueError("n_tar must be >= 1")
-        if self.cold_start < 0:
-            raise ValueError("negative cold start")
-        if self.k <= 0:
-            raise ValueError("non-positive cost ratio")
+        # The chained comparisons are false for NaN as well as for
+        # out-of-range and infinite values.
+        if not 0 <= self.cold_start < math.inf:
+            raise ValueError(
+                f"cold_start must be non-negative and finite, got {self.cold_start}"
+            )
+        if not 0 < self.k < math.inf:
+            raise ValueError(
+                f"cost ratio k must be positive and finite, got {self.k}"
+            )
         if self.max_launch_attempts_per_step < 1:
             raise ValueError("need at least one launch attempt per step")
-        # The chained comparison is false for NaN as well as for
-        # non-positive and infinite values.
         if self.zone_price_multipliers is not None:
             for zone, multiplier in self.zone_price_multipliers.items():
                 if not 0 < multiplier < math.inf:
@@ -145,6 +154,18 @@ class ReplayConfig:
 def _ready_order(inst: "_ReplayInstance") -> tuple[float, int]:
     """Sort key for pending queues under time-varying cold starts."""
     return (inst.ready_at, inst.id)
+
+
+def _fold(total: float, adds: float | np.ndarray, width: int) -> float:
+    """``total`` after ``width`` steps of ``total += adds`` (one scalar,
+    or one add per step).  ``np.add.accumulate`` over a buffer seeded
+    with ``total`` is the same strict left fold, so the result is
+    bit-identical to the step loop's."""
+    buf = np.empty(width + 1)
+    buf[0] = total
+    buf[1:] = adds
+    np.add.accumulate(buf, out=buf)
+    return float(buf[-1])
 
 
 @dataclass(slots=True)
@@ -224,18 +245,35 @@ class TraceReplayer:
         self._next_id = 0
         # Chaos overlay hooks (repro.chaos.overlay): per-step cold-start
         # multipliers and per-zone per-step spot price multipliers.  Both
-        # default to None so the no-chaos replay path is untouched.
-        if cold_start_factors is not None and len(cold_start_factors) != trace.n_steps:
-            raise ValueError(
-                f"{len(cold_start_factors)} cold-start factors for "
-                f"{trace.n_steps} trace steps"
-            )
+        # default to None so the no-chaos replay path is untouched.  A
+        # non-finite cold start has no readiness step, so factors must be
+        # finite (the comparisons are false for NaN too).
+        if cold_start_factors is not None:
+            if len(cold_start_factors) != trace.n_steps:
+                raise ValueError(
+                    f"{len(cold_start_factors)} cold-start factors for "
+                    f"{trace.n_steps} trace steps"
+                )
+            row = np.asarray(cold_start_factors, dtype=float)
+            bad = np.flatnonzero(~((row >= 0) & (row < math.inf)))
+            if len(bad):
+                raise ValueError(
+                    f"cold-start factor at step {bad[0]} must be non-negative "
+                    f"and finite, got {row[bad[0]]}"
+                )
         if zone_price_factors is not None:
             for zone, factors in zone_price_factors.items():
                 if len(factors) != trace.n_steps:
                     raise ValueError(
                         f"zone {zone!r}: {len(factors)} price factors for "
                         f"{trace.n_steps} trace steps"
+                    )
+                row = np.asarray(factors, dtype=float)
+                bad = np.flatnonzero(~((row > 0) & (row < math.inf)))
+                if len(bad):
+                    raise ValueError(
+                        f"zone {zone!r}: price factor at step {bad[0]} must be "
+                        f"positive and finite, got {row[bad[0]]}"
                     )
         self._cold_start_factors = (
             list(cold_start_factors) if cold_start_factors is not None else None
@@ -258,16 +296,25 @@ class TraceReplayer:
         # RNG stream and continued the replica-id sequence.
         self._rng = RngRegistry(self._seed).stream("replay")
         self._next_id = 0
-        if self.engine != "discrete":
-            if self.config.zone_capacity_weights is not None:
-                raise ValueError(
-                    f"engine {self.engine!r} does not support "
-                    "zone_capacity_weights; heterogeneous replays run on "
-                    "the discrete engine"
-                )
-            from repro.experiments.fastpath import run_fastpath
+        if self.engine == "discrete":
+            return self._run_steps(policy, spot_zones, skip=False)
+        return fastpath.run_fastpath(self, policy, spot_zones=spot_zones)
 
-            return run_fastpath(self, policy, spot_zones=spot_zones)
+    def _run_steps(
+        self,
+        policy: ServingPolicy,
+        spot_zones: Optional[Sequence[str]],
+        *,
+        skip: bool,
+    ) -> ReplayResult:
+        """The replay step loop, shared by every engine.
+
+        With ``skip`` off every step is processed.  With it on (set by
+        :func:`~repro.experiments.fastpath.run_fastpath` for policies
+        that pass ``supports_fluid``), a step that leaves the fleet
+        unchanged may be followed by a run of steps skipped in closed
+        form, by the rule described in :mod:`repro.experiments.fastpath`.
+        """
         cfg = self.config
         trace = self.trace
         bus = self.telemetry
@@ -306,7 +353,8 @@ class TraceReplayer:
         # launch order, so entries are kept sorted by (ready_at, id)
         # instead.  The queue operations are bound once so the step loop
         # is identical either way — and byte-identical to the pre-chaos
-        # code when no overlay is attached.
+        # code when no overlay is attached.  Either way the head has the
+        # smallest ready_at, which is what the skip rule reads.
         pending_spot: MutableSequence[_ReplayInstance]
         pending_od: MutableSequence[_ReplayInstance]
         push_spot: Callable[[_ReplayInstance], None]
@@ -346,8 +394,9 @@ class TraceReplayer:
         launch_failures = 0
         spot_cost = 0.0
         od_cost = 0.0
-        ready_list: list[int] = []
-        od_list: list[int] = []
+        ready_series = np.zeros(n_steps, dtype=int)
+        od_series = np.zeros(n_steps, dtype=int)
+        prev_ready = -1
         # Heterogeneous capacity accounting: per-zone *ready* counts
         # (exact integers) are only maintained when weights are set, so
         # the homogeneous path stays byte-identical; the weighted sum is
@@ -361,7 +410,8 @@ class TraceReplayer:
             else {}
         )
         zone_ready: dict[str, int] = {zone: 0 for zone in zones}
-        eff_list: list[float] = []
+        eff_series = np.zeros(n_steps) if track_eff else None
+        eff = 0.0
         # Pre-bound callables: attribute lookups on ``policy``/``cfg``
         # inside the step loop are measurable at trace scale.
         on_preempted = policy.on_spot_preempted
@@ -369,8 +419,38 @@ class TraceReplayer:
         on_launch_failed = policy.on_spot_launch_failed
         target_mix = policy.target_mix
         select_spot_zone = policy.select_spot_zone
+        decision_state = policy.decision_state
         n_tar = cfg.n_tar
         max_attempts = cfg.max_launch_attempts_per_step
+
+        # Skip state, read only when ``skip`` is on.  The current stuck
+        # run: decision state after each stuck step -> its index in
+        # ``run_failed``, the zones each step failed in, in order.
+        run_index: dict[Hashable, int] = {}
+        run_failed: list[list[str]] = []
+        # Price rows as arrays, for the per-step adds of skipped steps.
+        price_arrays = (
+            {zone: np.asarray(row) for zone, row in price_rows.items()}
+            if skip and price_rows is not None
+            else None
+        )
+        # (zone, count, rise) -> sorted steps at which that zone's
+        # capacity is above (rise) or below ``count``.
+        change_steps: dict[tuple[str, int, bool], np.ndarray] = {}
+
+        def next_change(zone: str, count: int, after: int, rise: bool) -> int:
+            """First step at or after ``after`` where ``zone``'s capacity
+            rises above (``rise``) or drops below ``count``, else the
+            horizon."""
+            key = (zone, count, rise)
+            steps = change_steps.get(key)
+            if steps is None:
+                row = trace.zone_row(zone)
+                steps = np.flatnonzero(row > count if rise else row < count)
+                change_steps[key] = steps
+            pos = int(np.searchsorted(steps, after))
+            return int(steps[pos]) if pos < len(steps) else trace.n_steps
+
         # Profiler locals: when disabled, each step pays one short-
         # circuited ``and`` plus five false branch checks — no clock
         # reads, no objects, no allocations.
@@ -380,11 +460,17 @@ class TraceReplayer:
         prof_acc = profiler.accumulate if prof_enabled else None
         stride_mask = _PROFILE_STRIDE_MASK
         t_mark = 0.0
+        skipped_time = 0.0
         logger.info(
-            "replaying %s over %s (%d steps)", policy.name, trace.name, n_steps
+            "replaying %s over %s (%d steps, %s engine)",
+            policy.name,
+            trace.name,
+            n_steps,
+            self.engine,
         )
 
-        for k_step in range(n_steps):
+        k_step = 0
+        while k_step < n_steps:
             now = k_step * step
             bus_enabled = bus.enabled
             do_profile = prof_enabled and (k_step & stride_mask) == 0
@@ -392,6 +478,9 @@ class TraceReplayer:
                 t_mark = prof_clock()
             if chaos_cs is not None:
                 d = base_d * chaos_cs[k_step]
+            # Whether the fleet changes this step: a live promotion, a
+            # preemption, a launch, a scale-down or an on-demand change.
+            churn = False
 
             # 0. Promote instances whose cold start has elapsed.  The
             # queues are ordered by ready_at; dead entries are skipped.
@@ -400,6 +489,7 @@ class TraceReplayer:
                 if inst.alive:
                     inst.ready = True
                     spot_ready += 1
+                    churn = True
                     if track_eff:
                         zone_ready[inst.zone] += 1
             while pending_od and pending_od[0].ready_at <= now:
@@ -407,19 +497,21 @@ class TraceReplayer:
                 if inst.alive:
                     inst.ready = True
                     od_ready += 1
+                    churn = True
             if do_profile:
                 t_now = prof_clock()
                 prof_acc("replay.promote", t_now - t_mark)
                 t_mark = t_now
 
             # 1. Inject preemptions: per zone, capacity below placements.
-            for zone, caps, in_zone in zone_state:  # repro: draw-parity[victim-sampling]: fastpath must draw the identical victim skeleton
+            for zone, caps, in_zone in zone_state:
                 count = zone_count[zone]
                 if count == 0:
                     continue
                 excess = count - caps[k_step]
                 if excess <= 0:
                     continue
+                churn = True
                 if excess >= count:
                     # Whole zone wiped (the §2.2 blackout case): every
                     # instance is a victim — no random draw needed.
@@ -488,8 +580,9 @@ class TraceReplayer:
             # except the ``excluded`` set, which is passed separately.
             spot_target = mix.spot_target
             counted = spot_total if mix.count_provisioning_spot else ready_spot_obs
+            launching = counted < spot_target
             attempts = 0
-            failed_zones: set[str] = set()
+            failed: list[str] = []
             excluded = _EMPTY_FROZENSET
             obs_now = obs
             while counted < spot_target and attempts < max_attempts:
@@ -515,6 +608,7 @@ class TraceReplayer:
                     zone_insts[zone].append(inst)
                     zone_count[zone] += 1
                     spot_total += 1
+                    churn = True
                     if d <= 0:
                         inst.ready = True
                         spot_ready += 1
@@ -529,8 +623,8 @@ class TraceReplayer:
                     obs_now = None  # placements changed: rebuild lazily
                 else:
                     launch_failures += 1
-                    failed_zones.add(zone)
-                    excluded = frozenset(failed_zones)
+                    failed.append(zone)
+                    excluded = frozenset(failed)
                     if bus_enabled:
                         # No replica object ever existed for a failed
                         # attempt at this granularity: id -1.
@@ -540,6 +634,7 @@ class TraceReplayer:
                 # Scale down: drop the newest (least likely to be
                 # ready) — a single max-scan over the (small) fleet;
                 # id breaks ready_at ties towards the latest launch.
+                churn = True
                 victim = None
                 for insts in zone_insts.values():
                     for inst in insts:
@@ -568,6 +663,7 @@ class TraceReplayer:
             # ``od`` is launch-ordered, so scale-down pops the newest
             # from the tail.
             while len(od) < mix.od_target:
+                churn = True
                 inst = _ReplayInstance(zone=None, spot=False, ready_at=now + d)
                 od.append(inst)
                 if d <= 0:
@@ -576,6 +672,7 @@ class TraceReplayer:
                 else:
                     push_od(inst)
             while len(od) > mix.od_target:
+                churn = True
                 victim = od.pop()
                 victim.alive = False
                 if victim.ready:
@@ -587,23 +684,26 @@ class TraceReplayer:
 
             # 5. Accrue cost and record readiness.
             if price_rows is not None:
-                spot_cost += (
+                spot_add = (
                     sum(c * price_rows[z][k_step] for z, c in zone_count.items() if c)
                     * hours
                 )  # base multiplier folded into the per-step rows
             elif multipliers:
-                spot_cost += (
+                spot_add = (
                     sum(c * multipliers.get(z, 1.0) for z, c in zone_count.items() if c)
                     * hours
                 )  # spot replica-hour = 1 unit at the base price
             else:
-                spot_cost += spot_total * hours
-            od_cost += len(od) * cfg.k * hours
+                spot_add = spot_total * hours
+            od_add = len(od) * cfg.k * hours
+            spot_cost += spot_add
+            od_cost += od_add
             total_ready = spot_ready + od_ready
-            if bus_enabled and (k_step == 0 or total_ready != ready_list[-1]):
+            if bus_enabled and total_ready != prev_ready:
                 bus.emit(FleetSample(now, total_ready, n_tar))
-            ready_list.append(total_ready)
-            od_list.append(len(od))
+            prev_ready = total_ready
+            ready_series[k_step] = total_ready
+            od_series[k_step] = len(od)
             if track_eff:
                 # On-demand replicas are reference instances (weight 1);
                 # spot capacity is summed in fixed zone order.
@@ -612,22 +712,92 @@ class TraceReplayer:
                     count = zone_ready[zone]
                     if count:
                         eff += zone_weight[zone] * count
-                eff_list.append(eff)
+                eff_series[k_step] = eff
             if do_profile:
                 prof_acc("replay.accrue", prof_clock() - t_mark)
+            k_step += 1
 
+            # 6. Skip rule.  Only a step that left the fleet unchanged
+            # can start a skip, and only under a policy that passes
+            # supports_fluid.
+            if not skip or churn:
+                if run_failed:
+                    run_index, run_failed = {}, []
+                continue
+            if launching:
+                # Stuck step: every launch attempt failed (or the policy
+                # held off), so only the policy's state moved.  Within a
+                # run of stuck steps each step is a function of that
+                # state alone: once it repeats, the steps since its
+                # first occurrence form a cycle that later steps repeat
+                # until a tried zone gains capacity.
+                key = decision_state()
+                first = run_index.get(key) if key is not None else None
+                if first is None:
+                    if key is not None:
+                        run_index[key] = len(run_failed)
+                        run_failed.append(failed)
+                    continue
+                cycle = run_failed[first + 1 :] + [failed]
+                run_index, run_failed = {key: 0}, [failed]
+            else:
+                # Quiescent step: no fleet change and no launch attempt,
+                # so a stationary policy makes the same no-op decision
+                # at every following step — a one-step cycle.
+                if run_failed:
+                    run_index, run_failed = {}, []
+                cycle = [[]]
+            # The cycle repeats until the first step at which a pending
+            # replica becomes ready, an occupied zone's capacity drops
+            # below its count, or a zone the cycle tries gains capacity.
+            # A dead queue head only ends the skip early.
+            stop = n_steps
+            if pending_spot:
+                stop = min(stop, fastpath.bucket_step(pending_spot[0].ready_at, step))
+            if pending_od:
+                stop = min(stop, fastpath.bucket_step(pending_od[0].ready_at, step))
+            for zone, count in zone_count.items():
+                if count:
+                    stop = min(stop, next_change(zone, count, k_step, False))
+            for zone in dict.fromkeys(z for tried in cycle for z in tried):
+                stop = min(stop, next_change(zone, zone_count[zone], k_step, True))
+            period = len(cycle)
+            whole = (stop - k_step) // period
+            if whole <= 0:
+                continue
+            # Skip whole cycles in closed form.
+            t_skip = prof_clock() if prof_enabled else 0.0
+            lo, hi = k_step, k_step + whole * period
+            if launching:
+                launch_failures += whole * sum(len(tried) for tried in cycle)
+                if bus_enabled:
+                    for skipped in range(lo, hi):
+                        skipped_now = skipped * step
+                        for zone in cycle[(skipped - lo) % period]:
+                            bus.emit(ReplicaLaunchFailed(skipped_now, -1, zone, True))
+            ready_series[lo:hi] = total_ready
+            od_series[lo:hi] = len(od)
+            if eff_series is not None:
+                eff_series[lo:hi] = eff
+            if price_arrays is not None:
+                spot_add = (
+                    sum(c * price_arrays[z][lo:hi] for z, c in zone_count.items() if c)
+                    * hours
+                )
+            spot_cost = _fold(spot_cost, spot_add, hi - lo)
+            od_cost = _fold(od_cost, od_add, hi - lo)
+            if prof_enabled:
+                skipped_time += prof_clock() - t_skip
+            k_step = hi
+
+        if prof_enabled and skip:
+            profiler.accumulate("replay.fastpath.fluid", skipped_time)
         if bus.enabled:
             # Terminal cost snapshot so report timelines and scorecards
             # see the accrued totals without re-deriving them.
             end = n_steps * step
             bus.emit(CostSnapshot(end, spot_cost, od_cost, spot_cost + od_cost))
-        ready_series = np.asarray(ready_list, dtype=int)
         baseline = cfg.k * cfg.n_tar * (n_steps * step / 3600.0)
-        eff_series: Optional[np.ndarray] = None
-        eff_availability: Optional[float] = None
-        if track_eff:
-            eff_series = np.asarray(eff_list, dtype=float)
-            eff_availability = float((eff_series >= cfg.n_tar).mean())
         return ReplayResult(
             policy=policy.name,
             trace=trace.name,
@@ -640,10 +810,13 @@ class TraceReplayer:
             launch_failures=launch_failures,
             ready_series=ready_series,
             step=step,
-            od_series=np.asarray(od_list, dtype=int),
+            od_series=od_series,
             eff_ready_series=eff_series,
-            eff_availability=eff_availability,
+            eff_availability=(
+                float((eff_series >= cfg.n_tar).mean()) if eff_series is not None else None
+            ),
         )
+
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """ScenarioSpec: validation, JSON round-trips, digests, the library."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,17 @@ class TestValidation:
     def test_price_multiplier_positive(self):
         with pytest.raises(ValueError, match="multiplier"):
             PriceSurge(start=0.0, end=10.0, multiplier=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cold_start_factor_rejected(self, bad):
+        # NaN used to pass the `factor < 1.0` floor check.
+        with pytest.raises(ValueError, match="cold-start factor"):
+            ColdStartSpike(start=0.0, end=10.0, factor=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_price_multiplier_rejected(self, bad):
+        with pytest.raises(ValueError, match="price multiplier"):
+            PriceSurge(start=0.0, end=10.0, multiplier=bad)
 
     def test_network_extra_rtt_positive(self):
         with pytest.raises(ValueError, match="extra_rtt"):

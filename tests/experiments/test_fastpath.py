@@ -429,3 +429,67 @@ class TestShortageCycleSkip:
             got, events, _ = self.run(trace, name, "hybrid")
             assert_identical(ref, got)
             assert events == ref_events
+
+
+class TestCapacityWeights:
+    """Capacity weights run on every engine: skipped steps repeat the
+    last processed step's effective capacity."""
+
+    WEIGHTS = {Z1: 2.0, Z2: 0.5}
+
+    def test_weighted_engines_match_discrete(self):
+        # Ample capacity, a long shortage (3 slots for a target of 4)
+        # and a recovery: quiescent windows and stuck cycles both skip.
+        rows = [[6] * 100 + [1] * 2_000 + [6] * 100 for _ in ZONES]
+        trace = trace_with(rows)
+        config = ReplayConfig(
+            n_tar=4, cold_start=120.0, zone_capacity_weights=self.WEIGHTS
+        )
+        policy = _CountingSpotHedge(ZONES, trace.step)
+        ref = TraceReplayer(trace, config, seed=3).run(policy)
+        assert len(policy.consulted_steps) == trace.n_steps
+        assert ref.eff_ready_series is not None
+        assert ref.launch_failures > 2_000
+        for engine in ("hybrid", "vectorized"):
+            policy = _CountingSpotHedge(ZONES, trace.step)
+            got = TraceReplayer(trace, config, seed=3, engine=engine).run(policy)
+            assert_identical(ref, got)
+            assert len(policy.consulted_steps) < trace.n_steps / 20
+
+    @pytest.mark.parametrize("base", [aws1, aws2])
+    def test_hetero_spothedge_hybrid_matches_discrete(self, base):
+        from repro.cloud import PriceBook, hetero_catalog, make_hetero_trace
+        from repro.cloud.gpus import (
+            pool_capacity_weights,
+            pool_price_multipliers,
+            pool_spot_costs,
+        )
+        from repro.core import hetero_spothedge
+
+        catalog = hetero_catalog()
+        book = PriceBook(catalog)
+        window = base()
+        window = window.window(0.0, 12 * 3600.0, name=window.name)
+        trace = make_hetero_trace(window, ["g5.48xlarge", "p4d.24xlarge"], catalog)
+        pools = list(trace.zone_ids)
+        reference = catalog.get("g5.48xlarge")
+        config = ReplayConfig(
+            n_tar=4,
+            k=reference.on_demand_hourly / reference.spot_hourly,
+            zone_price_multipliers=pool_price_multipliers(
+                pools, book, reference_price=reference.spot_hourly
+            ),
+            zone_capacity_weights=pool_capacity_weights(pools, catalog),
+        )
+
+        def run(engine):
+            policy = hetero_spothedge(
+                pools,
+                pool_costs=pool_spot_costs(pools, book),
+                pool_weights=config.zone_capacity_weights,
+            )
+            return TraceReplayer(trace, config, seed=2, engine=engine).run(policy)
+
+        ref = run("discrete")
+        assert ref.eff_ready_series is not None
+        assert_identical(ref, run("hybrid"))

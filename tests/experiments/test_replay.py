@@ -165,13 +165,6 @@ class TestLatencyEstimate:
 class TestCapacityWeights:
     """Effective-capacity tracking for heterogeneous (zone × type) pools."""
 
-    def test_weights_require_discrete_engine(self):
-        config = ReplayConfig(n_tar=2, zone_capacity_weights={Z1: 2.0})
-        for engine in ("hybrid", "vectorized"):
-            replayer = TraceReplayer(trace_with(full()), config, engine=engine)
-            with pytest.raises(ValueError, match="zone_capacity_weights"):
-                replayer.run(spothedge([Z1, Z2, Z3]))
-
     def test_eff_fields_none_without_weights(self):
         replayer = TraceReplayer(trace_with(full()), ReplayConfig(n_tar=2))
         result = replayer.run(spothedge([Z1, Z2, Z3]))
@@ -215,3 +208,45 @@ class TestCapacityWeights:
                 zone_price_multipliers={"a": math.nan},
                 zone_capacity_weights={"a": math.inf},
             )
+
+
+class TestNonFiniteInputs:
+    """Cold starts, cost ratios and chaos factors must be finite: a
+    non-finite cold start has no readiness step and a NaN cost ratio
+    turns every cost into NaN."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cold_start_rejected(self, bad):
+        with pytest.raises(ValueError, match="cold_start"):
+            ReplayConfig(cold_start=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cost_ratio_rejected(self, bad):
+        with pytest.raises(ValueError, match="cost ratio k"):
+            ReplayConfig(k=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_cold_start_factor_rejected(self, bad):
+        factors = [1.0] * 100
+        factors[5] = bad
+        with pytest.raises(ValueError, match="cold-start factor at step 5"):
+            TraceReplayer(trace_with(full()), cold_start_factors=factors)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_price_factor_rejected(self, bad):
+        factors = [1.0] * 100
+        factors[3] = bad
+        with pytest.raises(ValueError, match=f"zone '{Z2}': price factor at step 3"):
+            TraceReplayer(trace_with(full()), zone_price_factors={Z1: [1.0] * 100, Z2: factors})
+
+    @pytest.mark.parametrize("engine", ["discrete", "hybrid"])
+    def test_finite_factors_accepted(self, engine):
+        # Zero cold-start factors (instant readiness) stay valid.
+        replayer = TraceReplayer(
+            trace_with(full()),
+            ReplayConfig(n_tar=2),
+            cold_start_factors=[0.0] * 50 + [2.5] * 50,
+            zone_price_factors={Z1: [0.5] * 100},
+            engine=engine,
+        )
+        assert replayer.run(spothedge([Z1, Z2, Z3])).availability > 0.9

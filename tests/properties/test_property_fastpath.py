@@ -1,9 +1,12 @@
 """Property tests: discrete ↔ vectorized ↔ hybrid engine equivalence.
 
-The discrete loop is the oracle; the fastpath engines must reproduce
+Every engine runs the one replay step loop; ``discrete`` processes
+every step and is the reference.  The skipping engines must reproduce
 every :class:`ReplayResult` field byte-for-byte — including the float
-cost accumulators and the RNG-driven preemption counts — over random
-traces, policies, seeds and chaos overlays.
+cost accumulators, the capacity-weighted ``eff_*`` fields and the
+RNG-driven preemption counts — over random traces, policies, seeds,
+capacity weights and chaos overlays, so these tests check exactly the
+skip rule.
 """
 
 import numpy as np
@@ -115,6 +118,15 @@ policy_factories = st.sampled_from(
     [spothedge, even_spread_policy, round_robin_policy, OnDemandOnlyPolicy]
 )
 
+#: Optional capacity weights for two of the zones (the third weighs
+#: 1.0): skipped steps must repeat the effective capacity exactly.
+capacity_weights = st.one_of(
+    st.none(),
+    st.fixed_dictionaries(
+        {ZONES[0]: st.floats(0.25, 4.0), ZONES[2]: st.floats(0.25, 4.0)}
+    ),
+)
+
 
 def assert_identical(ref, got):
     assert got.policy == ref.policy
@@ -126,12 +138,21 @@ def assert_identical(ref, got):
     assert got.launch_failures == ref.launch_failures
     np.testing.assert_array_equal(got.ready_series, ref.ready_series)
     np.testing.assert_array_equal(got.od_series, ref.od_series)
+    assert got.eff_availability == ref.eff_availability
+    if ref.eff_ready_series is None:
+        assert got.eff_ready_series is None
+    else:
+        np.testing.assert_array_equal(got.eff_ready_series, ref.eff_ready_series)
 
 
-@given(traces(), policy_factories, st.integers(1, 6), st.integers(0, 5))
+@given(
+    traces(), policy_factories, st.integers(1, 6), st.integers(0, 5), capacity_weights
+)
 @settings(max_examples=60, deadline=None)
-def test_engines_byte_identical_random_traces(trace, factory, n_tar, seed):
-    config = ReplayConfig(n_tar=n_tar, k=3.0, cold_start=120.0)
+def test_engines_byte_identical_random_traces(trace, factory, n_tar, seed, weights):
+    config = ReplayConfig(
+        n_tar=n_tar, k=3.0, cold_start=120.0, zone_capacity_weights=weights
+    )
     ref = TraceReplayer(trace, config, seed=seed).run(factory(ZONES))
     for engine in ("vectorized", "hybrid"):
         got = TraceReplayer(trace, config, seed=seed, engine=engine).run(
@@ -140,13 +161,17 @@ def test_engines_byte_identical_random_traces(trace, factory, n_tar, seed):
         assert_identical(ref, got)
 
 
-@given(quiet_traces(), policy_factories, st.integers(1, 6), st.integers(0, 3))
+@given(
+    quiet_traces(), policy_factories, st.integers(1, 6), st.integers(0, 3), capacity_weights
+)
 @settings(max_examples=40, deadline=None)
-def test_engines_byte_identical_quiet_traces(trace, factory, n_tar, seed):
+def test_engines_byte_identical_quiet_traces(trace, factory, n_tar, seed, weights):
     # Quiet piecewise-constant traces exercise the fluid fast-forward
     # (window boundaries at capacity crossings) rather than per-step
     # churn; results must still match bit for bit.
-    config = ReplayConfig(n_tar=n_tar, k=3.0, cold_start=180.0)
+    config = ReplayConfig(
+        n_tar=n_tar, k=3.0, cold_start=180.0, zone_capacity_weights=weights
+    )
     ref = TraceReplayer(trace, config, seed=seed).run(factory(ZONES))
     for engine in ("vectorized", "hybrid"):
         got = TraceReplayer(trace, config, seed=seed, engine=engine).run(
@@ -265,7 +290,8 @@ def test_engines_byte_identical_shortage_windows(data, factory, seed):
     # whole decision cycles.  With and without chaos overlays.
     trace, n_tar = data.draw(shortage_traces())
     cold, prices = data.draw(piecewise_overlays(trace))
-    config = ReplayConfig(n_tar=n_tar, cold_start=120.0)
+    weights = data.draw(capacity_weights)
+    config = ReplayConfig(n_tar=n_tar, cold_start=120.0, zone_capacity_weights=weights)
     kwargs = dict(cold_start_factors=cold, zone_price_factors=prices)
     ref = TraceReplayer(trace, config, seed=seed, **kwargs).run(factory(ZONES))
     for engine in ("vectorized", "hybrid"):

@@ -112,6 +112,34 @@ class TestReplayIntegration:
         for stats in prof.stats().values():
             assert stats.calls == expected
 
+    def test_hybrid_replay_records_phases_and_skip_time(self):
+        # Every engine runs the same stride-sampled step loop; the
+        # skipping engines add their whole-run and skipped-step time.
+        import numpy as np
+
+        from repro.cloud import SpotTrace
+        from repro.core import spothedge
+        from repro.experiments import ReplayConfig, TraceReplayer
+
+        zones = ["aws:r1:a", "aws:r1:b"]
+        trace = SpotTrace("t", zones, 60.0, np.full((2, 256), 4))
+        prof = PhaseProfiler()
+        replayer = TraceReplayer(
+            trace, ReplayConfig(n_tar=2), profiler=prof, engine="hybrid"
+        )
+        replayer.run(spothedge(zones))
+        stats = prof.stats()
+        assert set(stats) == {
+            "replay.promote", "replay.preempt", "replay.policy",
+            "replay.reconcile", "replay.accrue",
+            "replay.fastpath", "replay.fastpath.fluid",
+        }
+        assert stats["replay.fastpath"].calls == 1
+        assert stats["replay.fastpath.fluid"].calls == 1
+        # Quiet capacity: most steps are skipped, so fewer phase
+        # samples than the discrete engine's 256 / stride.
+        assert 0 < stats["replay.promote"].calls < 256 // prof.stride
+
     def test_replay_results_identical_with_and_without_profiler(self):
         import numpy as np
 
